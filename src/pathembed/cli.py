@@ -3,7 +3,7 @@
 All commands are config-file driven and non-interactive. A training run
 owns its output directory (guarded by a lockfile) and leaves behind
 everything needed to reproduce it: the resolved config, the seed, the
-edge split, the checkpoint, per-epoch history, and final metrics.
+edge split, the checkpoint, the per-step loss history, and final metrics.
 
 Exit codes: 0 success, 2 configuration error, 3 runtime/numerical error.
 """
@@ -167,12 +167,6 @@ def _apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
-def _set_threads(threads: int) -> None:
-    """Advisory knob: caps any BLAS pools and sizes the sweep work pool."""
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(var, str(threads))
-
-
 # -- subcommands -------------------------------------------------------------
 
 
@@ -253,7 +247,7 @@ def cmd_train(args: argparse.Namespace) -> int:
                 "multipath_sets": len(multi_pool),
                 "singlepath_entries": len(single_pool.entries),
             },
-            "epochs_run": len(result.history),
+            "epochs_run": result.metadata["epochs_run"],
             "best_val_auc": result.best_val_auc,
             "wall_time_s": round(time.time() - start, 3),
             "build": _git_describe(),
@@ -402,7 +396,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True, help="YAML run config")
     p.add_argument("--out", required=True, help="run output directory")
     p.add_argument("--seed", type=int, default=None, help="override all seeds")
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on a saved split")
@@ -419,15 +412,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True, help="YAML config with sweep:")
     p.add_argument("--out", required=True, help="output CSV path")
     p.add_argument("--seed", type=int, default=None, help="override all seeds")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1,
+                   help="how many grid points run at once")
     p.set_defaults(func=cmd_sweep)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "threads", None):
-        _set_threads(args.threads)
     try:
         return args.func(args)
     except (ConfigError, DatasetError, GraphError, FileNotFoundError) as exc:

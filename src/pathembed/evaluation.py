@@ -1,8 +1,8 @@
 """Link-prediction metrics, node classification, and sensitivity sweeps.
 
-Scores are "higher = more likely edge": the negative scalarized relation,
+Scores are "higher = more likely edge": the negative relation magnitude,
 symmetrized by averaging both directions for the asymmetric backends.
-AUC uses the Mann-Whitney formulation with midranks for ties. Average
+AUC is the Mann-Whitney U statistic, a tie counting one half. Average
 precision sorts by descending score and breaks ties by the stable order
 of the input pair list (positives are listed before negatives by the
 builders here).
@@ -15,13 +15,10 @@ from dataclasses import dataclass, replace
 from pathlib import Path as FilePath
 
 import numpy as np
-from scipy.optimize import minimize
-from scipy.special import expit
-from scipy.stats import rankdata
 
-from pathembed.autodiff import Tensor, concat
+from pathembed.autodiff import Tensor
 from pathembed.graph import EdgeSplit, Graph, LabeledDataset, split_edges
-from pathembed.relations import encoder_forward_t, mlp_forward_t
+from pathembed.relations import BACKENDS
 
 logger = logging.getLogger(__name__)
 
@@ -56,26 +53,22 @@ class ClassifierReport:
 
 def score_pairs(state, pairs: np.ndarray, backend: str) -> np.ndarray:
     """Symmetric link scores for an (M, 2) array of node pairs."""
+    metric = BACKENDS.get(backend)
+    if metric is None:
+        raise ValueError(f"unknown backend {backend!r}")
     pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
     if pairs.size == 0:
         return np.empty(0, dtype=np.float64)
-    phi = state.embeddings.values
-    pu = phi[pairs[:, 0]]
-    pv = phi[pairs[:, 1]]
-    if backend == "2n":
-        return -np.linalg.norm(pu - pv, axis=1)
-    params_t = {n: Tensor(a) for n, a in state.metric_params.items()}
-    if backend == "mlp":
-        fwd = mlp_forward_t(concat([Tensor(pu), Tensor(pv)], axis=1), params_t).data
-        bwd = mlp_forward_t(concat([Tensor(pv), Tensor(pu)], axis=1), params_t).data
-    elif backend == "vi":
-        fwd = encoder_forward_t(Tensor(pu - pv), params_t)[0].data
-        bwd = encoder_forward_t(Tensor(pv - pu), params_t)[0].data
-    else:
-        raise ValueError(f"unknown backend {backend!r}")
-    return -0.5 * (
-        np.linalg.norm(fwd, axis=1) + np.linalg.norm(bwd, axis=1)
-    )
+    phi = Tensor(state.embeddings.values)
+    params = {n: Tensor(a) for n, a in state.metric_params.items()}
+
+    def magnitude(u, v):
+        return metric.magnitude(metric.relate(phi, u, v, params)[0]).data
+
+    u, v = pairs[:, 0], pairs[:, 1]
+    if metric.symmetric:
+        return -magnitude(u, v)
+    return -0.5 * (magnitude(u, v) + magnitude(v, u))
 
 
 def score_pair(state, i: int, j: int, backend: str) -> float:
@@ -107,10 +100,11 @@ def auc_score(pos_scores: np.ndarray, neg_scores: np.ndarray) -> float:
     neg_scores = np.asarray(neg_scores, dtype=np.float64).ravel()
     if len(pos_scores) == 0 or len(neg_scores) == 0:
         raise ValueError("auc needs at least one positive and one negative")
-    ranks = rankdata(np.concatenate([pos_scores, neg_scores]))
-    n_pos = len(pos_scores)
-    u = ranks[:n_pos].sum() - n_pos * (n_pos + 1) / 2.0
-    return float(u / (n_pos * len(neg_scores)))
+    neg_sorted = np.sort(neg_scores)
+    below = np.searchsorted(neg_sorted, pos_scores, side="left").sum()
+    not_above = np.searchsorted(neg_sorted, pos_scores, side="right").sum()
+    u = (below + not_above) / 2.0  # a sum of half-integers, exact in float64
+    return float(u / (len(pos_scores) * len(neg_scores)))
 
 
 def average_precision_score(pos_scores: np.ndarray, neg_scores: np.ndarray) -> float:
@@ -168,6 +162,10 @@ def evaluate_split(state, split: EdgeSplit, backend: str) -> dict:
 
 def _fit_logistic(X: np.ndarray, y: np.ndarray, l2: float = 1.0) -> np.ndarray:
     """Binary L2-regularized logistic regression; returns (d + 1,) weights."""
+    # imported on first use: these imports dominate the CLI's start-up
+    from scipy.optimize import minimize
+    from scipy.special import expit
+
     n, d = X.shape
     sign = np.where(y, 1.0, -1.0)
 
@@ -345,8 +343,9 @@ def sweep(
 
     `param` is either a training-config field or "train_fraction" (which
     varies the edge split instead: test takes what train gives up, with a
-    fixed validation slice). Returns (rows, errors); a failing grid point
-    is recorded in `errors` and the sweep continues. Grid points whose
+    fixed validation slice). `threads` grid points run at once. Returns
+    (rows, errors), both in grid order; a failing grid point is recorded
+    in `errors` and the sweep continues. Grid points whose
     `(str(value), trial)` key appears in `completed` are skipped, which
     lets callers resume an interrupted sweep from rows already on disk.
     """
@@ -355,36 +354,25 @@ def sweep(
     points = [(v, t) for v in values for t in range(trials)]
     if completed:
         points = [(v, t) for v, t in points if (str(v), t) not in completed]
-    rows: list[dict] = []
-    errors: list[dict] = []
 
     def run(point):
         value, trial = point
-        return _sweep_point(graph, base_cfg, param, value, trial, labels,
-                            val_fraction, test_fraction, classify_fraction)
+        try:
+            return _sweep_point(graph, base_cfg, param, value, trial, labels,
+                                val_fraction, test_fraction, classify_fraction), None
+        except Exception as exc:  # noqa: BLE001 - per-point isolation
+            logger.warning("sweep point %s failed: %s", point, exc)
+            return None, {"param": param, "value": value, "trial": trial, "error": str(exc)}
 
     if threads > 1:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = {pool.submit(run, p): p for p in points}
-            for fut, point in futures.items():
-                try:
-                    rows.append(fut.result())
-                except Exception as exc:  # noqa: BLE001 - per-point isolation
-                    logger.warning("sweep point %s failed: %s", point, exc)
-                    errors.append({"param": param, "value": point[0],
-                                   "trial": point[1], "error": str(exc)})
+            results = list(pool.map(run, points))
     else:
-        for point in points:
-            try:
-                rows.append(run(point))
-            except Exception as exc:  # noqa: BLE001 - per-point isolation
-                logger.warning("sweep point %s failed: %s", point, exc)
-                errors.append({"param": param, "value": point[0],
-                               "trial": point[1], "error": str(exc)})
-    value_order = {v: i for i, v in enumerate(values)}
-    rows.sort(key=lambda r: (value_order[r["value"]], r["trial"]))
+        results = [run(point) for point in points]
+    rows = [row for row, _ in results if row is not None]
+    errors = [error for _, error in results if error is not None]
     return rows, errors
 
 

@@ -12,9 +12,7 @@ counting.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path as FilePath
 
 import numpy as np
 
@@ -422,40 +420,3 @@ def build_singlepath_pool(
     for _, p in entries:
         validate_path(graph, p)
     return SinglePathSet(tuple(entries))
-
-
-# -- pool serialization -------------------------------------------------------
-
-
-def save_pools(
-    multi: list[MultiPathSet], single: SinglePathSet, path: str | FilePath
-) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for s in multi:
-            rec = {
-                "kind": "multi",
-                "pair": list(s.endpoints),
-                "paths": [list(p.nodes) for p in s.paths],
-            }
-            fh.write(json.dumps(rec) + "\n")
-        for pair, p in single.entries:
-            rec = {"kind": "single", "pair": list(pair), "path": list(p.nodes)}
-            fh.write(json.dumps(rec) + "\n")
-
-
-def load_pools(path: str | FilePath) -> tuple[list[MultiPathSet], SinglePathSet]:
-    multi: list[MultiPathSet] = []
-    single: list[tuple[tuple[int, int], Path]] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            rec = json.loads(line)
-            pair = (int(rec["pair"][0]), int(rec["pair"][1]))
-            if rec["kind"] == "multi":
-                paths = tuple(Path(tuple(int(x) for x in p)) for p in rec["paths"])
-                multi.append(MultiPathSet(pair, paths))
-            else:
-                single.append((pair, Path(tuple(int(x) for x in rec["path"]))))
-    return multi, SinglePathSet(tuple(single))

@@ -20,14 +20,7 @@ from pathlib import Path as FilePath
 
 import numpy as np
 
-from pathembed.autodiff import (
-    Tensor,
-    concat,
-    gather_rows,
-    l2norm_rows,
-    pair_distance,
-    segment_sum,
-)
+from pathembed.autodiff import Tensor, gather_rows, pair_distance, segment_sum
 from pathembed.graph import Graph
 from pathembed.paths import (
     MultiPathSet,
@@ -35,16 +28,7 @@ from pathembed.paths import (
     build_multipath_pool,
     build_singlepath_pool,
 )
-from pathembed.relations import (
-    BACKENDS,
-    EmbeddingMatrix,
-    LOG_2PI,
-    decoder_forward_t,
-    encoder_pairs_t,
-    init_metric_params,
-    mlp_pairs_t,
-    validate_params,
-)
+from pathembed.relations import BACKENDS, EmbeddingMatrix, init_metric_params, validate_params
 
 logger = logging.getLogger(__name__)
 
@@ -86,7 +70,7 @@ class TrainConfig:
 
     def validate(self) -> None:
         if self.backend not in BACKENDS:
-            raise ConfigError(f"backend must be one of {BACKENDS}, got {self.backend!r}")
+            raise ConfigError(f"backend must be one of {tuple(BACKENDS)}, got {self.backend!r}")
         if self.single_mode not in SINGLE_MODES:
             raise ConfigError(f"single_mode must be one of {SINGLE_MODES}")
         if not 0.0 <= self.balance <= 1.0:
@@ -446,64 +430,28 @@ def build_objective(
     phi_t: Tensor, params_t: dict[str, Tensor], sb: StepBatch, cfg: TrainConfig
 ) -> tuple[Tensor, dict[str, float]]:
     """The step loss as an autodiff scalar, plus its parts as floats."""
-    backend = cfg.backend
-    rel_s = rel_vec = mu = logvar = var = None
+    metric = BACKENDS[cfg.backend]
     if sb.unique_u.size:
-        if backend == "2n":
-            rel_s = pair_distance(phi_t, sb.unique_u, sb.unique_v)
-        elif backend == "mlp":
-            rel_vec = mlp_pairs_t(phi_t, sb.unique_u, sb.unique_v, params_t)
-        else:
-            mu, logvar = encoder_pairs_t(phi_t, sb.unique_u, sb.unique_v, params_t)
-            var = logvar.exp()
+        rel = metric.relate(phi_t, sb.unique_u, sb.unique_v, params_t, variance=True)
 
     terms: list[tuple[float, Tensor]] = []
     parts = {"loss_mul": 0.0, "loss_sin": 0.0, "elbo": 0.0, "loss_rank": 0.0}
 
     if sb.m_num_sets and sb.m_cmp_a.size and cfg.balance > 0.0:
-        if backend == "2n":
-            e = gather_rows(rel_s, sb.m_rel)
-            rp = segment_sum(e, sb.m_edge_path, sb.m_num_paths)
-            d = gather_rows(rp, sb.m_cmp_a) - gather_rows(rp, sb.m_cmp_b)
-            loss_mul = (d * d).sum() * (1.0 / sb.m_num_sets)
-        elif backend == "mlp":
-            v = gather_rows(rel_vec, sb.m_rel)
-            rp = segment_sum(v, sb.m_edge_path, sb.m_num_paths)
-            d = gather_rows(rp, sb.m_cmp_a) - gather_rows(rp, sb.m_cmp_b)
-            loss_mul = (d * d).sum() * (1.0 / sb.m_num_sets)
-        else:
-            r_mu = segment_sum(gather_rows(mu, sb.m_rel), sb.m_edge_path, sb.m_num_paths)
-            r_var = segment_sum(gather_rows(var, sb.m_rel), sb.m_edge_path, sb.m_num_paths)
-            ma, mb = gather_rows(r_mu, sb.m_cmp_a), gather_rows(r_mu, sb.m_cmp_b)
-            va, vb = gather_rows(r_var, sb.m_cmp_a), gather_rows(r_var, sb.m_cmp_b)
-
-            def kl_of(m1, v1, m2, v2):
-                md = m2 - m1
-                inner = v1 / v2 + (md * md) / v2 - 1.0 + v2.log() - v1.log()
-                return inner.sum(axis=1) * 0.5
-
-            kl = kl_of(ma, va, mb, vb)
-            if cfg.symmetric_kl:
-                kl = (kl + kl_of(mb, vb, ma, va)) * 0.5
-            loss_mul = (kl * kl).sum() * (1.0 / sb.m_num_sets)
+        rp = [segment_sum(gather_rows(t, sb.m_rel), sb.m_edge_path, sb.m_num_paths)
+              for t in metric.summands(rel)]
+        d = metric.discrepancy([gather_rows(t, sb.m_cmp_a) for t in rp],
+                               [gather_rows(t, sb.m_cmp_b) for t in rp], cfg.symmetric_kl)
+        loss_mul = d.sum() * (1.0 / sb.m_num_sets)
         parts["loss_mul"] = loss_mul.item()
         terms.append((cfg.balance, loss_mul))
 
     if sb.s_num_terms and cfg.balance < 1.0:
-        if backend == "2n":
-            e = gather_rows(rel_s, sb.s_rel)
-            r_tot = segment_sum(gather_rows(e, sb.s_inc_edge), sb.s_inc_term, sb.s_num_terms)
-            r_dir = gather_rows(rel_s, sb.t_rel)
-        elif backend == "mlp":
-            v = gather_rows(rel_vec, sb.s_rel)
-            summed = segment_sum(gather_rows(v, sb.s_inc_edge), sb.s_inc_term, sb.s_num_terms)
-            r_tot = l2norm_rows(summed)
-            r_dir = l2norm_rows(gather_rows(rel_vec, sb.t_rel))
-        else:
-            m = gather_rows(mu, sb.s_rel)
-            summed = segment_sum(gather_rows(m, sb.s_inc_edge), sb.s_inc_term, sb.s_num_terms)
-            r_tot = l2norm_rows(summed)
-            r_dir = l2norm_rows(gather_rows(mu, sb.t_rel))
+        loc = rel[0]
+        e = gather_rows(loc, sb.s_rel)
+        summed = segment_sum(gather_rows(e, sb.s_inc_edge), sb.s_inc_term, sb.s_num_terms)
+        r_tot = metric.magnitude(summed)
+        r_dir = metric.magnitude(gather_rows(loc, sb.t_rel))
         if cfg.single_mode == "bounded":
             loss_sin = (r_tot - r_dir).exp().mean()
         else:
@@ -511,43 +459,17 @@ def build_objective(
         parts["loss_sin"] = loss_sin.item()
         terms.append((1.0 - cfg.balance, loss_sin))
 
-    if backend == "vi" and sb.e_rel.size:
-        mu_e = gather_rows(mu, sb.e_rel)
-        lv_e = gather_rows(logvar, sb.e_rel)
-        var_e = lv_e.exp()
-        sig_e = (lv_e * 0.5).exp()
-        target = concat(
-            [gather_rows(phi_t, sb.e_u), gather_rows(phi_t, sb.e_v)], axis=1
-        )
-        k = phi_t.shape[1]
-        L = sb.noise.shape[0]
-        recon_sum = None
-        for sample in range(L):
-            z = mu_e + sig_e * Tensor(sb.noise[sample])
-            mean = decoder_forward_t(z, params_t)
-            d = target - mean
-            recon = (d * d).sum(axis=1) * (-0.5) + (-k * LOG_2PI)
-            recon_sum = recon if recon_sum is None else recon_sum + recon
-        recon_mean = recon_sum * (1.0 / L)
-        kl = (var_e + mu_e * mu_e - 1.0 - lv_e).sum(axis=1) * 0.5
-        elbo_mean = (recon_mean - kl).mean()
+    if metric.elbo is not None and sb.e_rel.size:
+        elbo_mean = metric.elbo(phi_t, params_t, rel, sb.e_rel, sb.e_u, sb.e_v, sb.noise)
         parts["elbo"] = elbo_mean.item()
         terms.append((-1.0, elbo_mean))
 
     if sb.c_rel.size and cfg.balance < 1.0:
-        # edge contrast on the squared relation magnitude that score_pairs
-        # ranks by; a learned relation can rank edges without placing linked
-        # nodes close, so for mlp and vi the embedding distance is ranked too
-        cu, cv = sb.c_unique_u, sb.c_unique_v
-        if backend == "2n":
-            loss_rank = _contrast_loss(pair_distance(phi_t, cu, cv), sb.c_rel)
-        else:
-            if backend == "mlp":
-                rel = mlp_pairs_t(phi_t, cu, cv, params_t)
-            else:
-                rel, _ = encoder_pairs_t(phi_t, cu, cv, params_t, with_logvar=False)
-            loss_rank = (_contrast_loss(l2norm_rows(rel), sb.c_rel)
-                         + _distance_contrast_loss(phi_t, sb.c_nodes))
+        # edge contrast on the squared relation magnitude that score_pairs ranks by
+        loc, _ = metric.relate(phi_t, sb.c_unique_u, sb.c_unique_v, params_t)
+        loss_rank = _contrast_loss(metric.magnitude(loc), sb.c_rel)
+        if metric.ranks_distance:
+            loss_rank = loss_rank + _distance_contrast_loss(phi_t, sb.c_nodes)
         parts["loss_rank"] = loss_rank.item()
         terms.append((1.0 - cfg.balance, loss_rank))
 
@@ -649,13 +571,14 @@ def total_loss(
 def _full_objective(state, multi_pool, single_pool, cfg, graph, noise, contrast):
     cm = compile_multipath(multi_pool) if multi_pool else None
     cs = compile_singlepath(single_pool, graph) if single_pool.entries else None
+    metric = BACKENDS[cfg.backend]
     elbo_pairs = np.empty((0, 2), dtype=np.int64)
-    if cfg.backend == "vi" and graph.num_edges:
+    if metric.elbo is not None and graph.num_edges:
         elbo_pairs = np.asarray(graph.edges, dtype=np.int64)
         if noise is None:
             nrng = np.random.default_rng(np.random.SeedSequence([int(cfg.seed), 0x2015E]))
             noise = nrng.standard_normal((cfg.mc_samples, len(elbo_pairs), cfg.embedding_dim))
-    sb = _full_batch(cm, cs, elbo_pairs, noise, contrast, symmetric=cfg.backend == "2n")
+    sb = _full_batch(cm, cs, elbo_pairs, noise, contrast, symmetric=metric.symmetric)
     phi_t, params_t = _tensors(state)
     total, parts = build_objective(phi_t, params_t, sb, cfg)
     return total, parts, phi_t, params_t
@@ -800,7 +723,8 @@ def train(
 
     n_sets = cm.num_sets if cm is not None else 0
     n_entries = cs.num_entries if cs is not None else 0
-    use_elbo = cfg.backend == "vi" and graph.num_edges > 0
+    metric = BACKENDS[cfg.backend]
+    use_elbo = metric.elbo is not None and graph.num_edges > 0
     use_contrast = cfg.balance < 1.0 and graph.num_edges > 0
     set_cycler = _Cycler(n_sets, batch_rng)
     entry_cycler = _Cycler(n_entries, batch_rng)
@@ -836,7 +760,7 @@ def train(
                 noise = None
             contrast = contrast_triplets(graph.edges, contrast_rng) if use_contrast else None
             sb = make_step_batch(cm, cs, set_ids, entry_ids, elbo_pairs, noise, contrast,
-                                 symmetric=cfg.backend == "2n")
+                                 symmetric=metric.symmetric)
             phi_t, params_t = _tensors(state)
             total, parts = build_objective(phi_t, params_t, sb, cfg)
             if not np.isfinite(parts["loss"]):

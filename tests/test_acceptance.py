@@ -366,6 +366,7 @@ def spectral_link_baseline(split, dim: int = 128) -> tuple[float, float]:
     return auc_score(pos, neg), average_precision_score(pos, neg)
 
 
+@pytest.mark.slow
 def test_criterion_5_desk_scale_link_prediction(desk_runs):
     runs, wall = desk_runs["runs"], desk_runs["wall"]
     vi_auc = runs["vi"][1]["test_auc"]
@@ -392,6 +393,7 @@ def test_criterion_5_desk_scale_link_prediction(desk_runs):
            f"(need >={need['auc']:.3f}); wall {wall:.0f}s (cap 1800)")
 
 
+@pytest.mark.slow
 def test_criterion_6_dimension_and_fraction_trends(desk_dataset):
     dataset, source = desk_dataset
     graph = dataset.graph
@@ -433,6 +435,7 @@ def test_criterion_6_dimension_and_fraction_trends(desk_dataset):
            f"with {len(drops)} inversion(s)")
 
 
+@pytest.mark.slow
 def test_criterion_7_node_classification(desk_runs):
     dataset = desk_runs["dataset"]
     state = desk_runs["runs"]["vi"][0]

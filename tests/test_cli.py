@@ -127,6 +127,14 @@ class TestTrain:
         assert meta["wall_time_s"] >= 0
         assert isinstance(meta["build"], str) and meta["build"]
 
+    def test_epochs_run_counts_epochs_not_steps(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.yaml"
+        write_yaml(cfg_path, toy_config(batch_pairs=8, epochs=2))  # several steps per epoch
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(cfg_path), "--out", str(out)]) == EXIT_OK
+        assert json.loads((out / "run_meta.json").read_text())["epochs_run"] == 2
+        assert "epochs: 2 " in capsys.readouterr().out
+
     def test_invalid_backend_exits_2_with_message(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.yaml"
         write_yaml(cfg_path, toy_config(backend="bogus"))

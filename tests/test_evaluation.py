@@ -75,7 +75,7 @@ def test_auc_matches_brute_force_with_ties():
         n_neg = int(rng.integers(1, 8))
         pos = rng.integers(0, 5, size=n_pos) / 4.0
         neg = rng.integers(0, 5, size=n_neg) / 4.0
-        assert auc_score(pos, neg) == pytest.approx(brute_auc(pos, neg), abs=1e-12)
+        assert auc_score(pos, neg) == brute_auc(pos, neg)
 
 
 def test_auc_monotone_transform_invariance():

@@ -13,8 +13,6 @@ from pathembed.paths import (
     build_singlepath_pool,
     count_simple_paths,
     enumerate_simple_paths,
-    load_pools,
-    save_pools,
     validate_path,
 )
 
@@ -270,18 +268,6 @@ class TestSinglePathPool:
         g = Graph(6, np.array([[0, 1], [1, 2], [2, 3], [3, 4], [4, 5]]))
         pool = build_singlepath_pool(g, max_len=5, max_pairs=4, seed=1)
         assert len(pool.entries) == 4
-
-
-class TestSerialization:
-    def test_round_trip(self, tmp_path):
-        g = cycle_graph(6)
-        multi = build_multipath_pool(g, 3, 5, 100, seed=0)
-        single = build_singlepath_pool(g, 3, 100, seed=0)
-        f = tmp_path / "pools.jsonl"
-        save_pools(multi, single, f)
-        m2, s2 = load_pools(f)
-        assert m2 == multi
-        assert s2 == single
 
 
 class TestValidatePath:

@@ -5,6 +5,7 @@ import pytest
 
 from pathembed.autodiff import Tensor
 from pathembed.relations import (
+    BACKENDS,
     EmbeddingMatrix,
     GaussianRelation,
     ScalarRelation,
@@ -14,15 +15,11 @@ from pathembed.relations import (
     decoder_forward_t,
     discrepancy,
     elbo,
-    encoder_forward_t,
-    encoder_pairs_t,
     g_2norm,
     g_mlp,
     g_vi,
     init_metric_params,
     kl_gaussian,
-    mlp_forward_t,
-    mlp_pairs_t,
     path_sum,
     relation,
     reparameterize,
@@ -336,51 +333,31 @@ class TestInitAndValidation:
 
 
 class TestTensorRouteParity:
-    """The batched autodiff forwards must equal the per-pair numpy ops."""
+    """The backends' batched autodiff forwards must equal the per-pair numpy ops."""
 
-    def test_mlp_parity(self):
+    @pytest.mark.parametrize("backend", list(BACKENDS))
+    def test_relate_matches_per_pair_oracle(self, backend):
         rng = np.random.default_rng(35)
-        k = 3
-        params = init_metric_params("mlp", k, rng, hidden=5)
-        pt = {n: Tensor(a) for n, a in params.items()}
-        pairs = rng.normal(size=(10, 2 * k))
-        batched = mlp_forward_t(Tensor(pairs), pt).data
-        for row in range(10):
-            single = g_mlp(pairs[row, :k], pairs[row, k:], params).value
-            np.testing.assert_allclose(batched[row], single, rtol=1e-12)
-
-    def test_encoder_parity(self):
-        rng = np.random.default_rng(36)
         k = 4
-        params = init_metric_params("vi", k, rng, hidden=6)
+        metric = BACKENDS[backend]
+        params = init_metric_params(backend, k, rng, hidden=6)
         pt = {n: Tensor(a) for n, a in params.items()}
-        a = rng.normal(size=(10, k))
-        b = rng.normal(size=(10, k))
-        mu, logvar = encoder_forward_t(Tensor(a - b), pt)
-        for row in range(10):
-            rel = g_vi(a[row], b[row], params)
-            np.testing.assert_allclose(mu.data[row], rel.mean, rtol=1e-12)
-            np.testing.assert_allclose(np.exp(logvar.data[row]), rel.var, rtol=1e-12)
-
-    def test_pair_routes_match_row_routes(self):
-        # the *_pairs_t forwards run the first layer once per node
-        rng = np.random.default_rng(38)
-        k = 3
-        phi = rng.normal(size=(6, k))
-        u = np.array([0, 2, 5, 2, 1])
-        v = np.array([1, 0, 3, 4, 1])
-        mlp = {n: Tensor(a) for n, a in init_metric_params("mlp", k, rng, hidden=5).items()}
-        want = mlp_forward_t(Tensor(np.concatenate([phi[u], phi[v]], axis=1)), mlp).data
-        np.testing.assert_allclose(mlp_pairs_t(Tensor(phi), u, v, mlp).data, want,
-                                   rtol=1e-12, atol=1e-14)
-        enc = {n: Tensor(a) for n, a in init_metric_params("vi", k, rng, hidden=5).items()}
-        mu, logvar = encoder_forward_t(Tensor(phi[u] - phi[v]), enc)
-        mu_p, logvar_p = encoder_pairs_t(Tensor(phi), u, v, enc)
-        np.testing.assert_allclose(mu_p.data, mu.data, rtol=1e-12, atol=1e-14)
-        np.testing.assert_allclose(logvar_p.data, logvar.data, rtol=1e-12, atol=1e-14)
-        mu_only, none = encoder_pairs_t(Tensor(phi), u, v, enc, with_logvar=False)
+        phi = rng.normal(size=(7, k))
+        u = np.array([0, 2, 5, 2, 1, 6])
+        v = np.array([1, 0, 3, 4, 1, 2])
+        loc, logvar = metric.relate(Tensor(phi), u, v, pt, variance=True)
+        for row in range(len(u)):
+            want = relation(backend, phi[u[row]], phi[v[row]], params)
+            if backend == "vi":
+                np.testing.assert_allclose(loc.data[row], want.mean, rtol=1e-12)
+                np.testing.assert_allclose(np.exp(logvar.data[row]), want.var, rtol=1e-12)
+            else:
+                np.testing.assert_allclose(loc.data[row], want.value, rtol=1e-12)
+                assert logvar is None
+        # without the variance only the location is computed, to the same bits
+        alone, none = metric.relate(Tensor(phi), u, v, pt)
         assert none is None
-        np.testing.assert_array_equal(mu_only.data, mu_p.data)
+        np.testing.assert_array_equal(alone.data, loc.data)
 
     def test_decoder_parity(self):
         rng = np.random.default_rng(37)
