@@ -16,14 +16,10 @@ from pathembed.datasets import (
 )
 from pathembed.evaluation import (
     ClassifierReport,
-    LinkScores,
-    auc,
     auc_score,
-    average_precision,
     average_precision_score,
     classify_nodes,
     evaluate_split,
-    make_link_scores,
     score_pair,
     score_pairs,
     sweep,
@@ -48,16 +44,7 @@ from pathembed.paths import (
     build_singlepath_pool,
     enumerate_simple_paths,
 )
-from pathembed.relations import (
-    EmbeddingMatrix,
-    GaussianRelation,
-    ScalarRelation,
-    VectorRelation,
-    kl_gaussian,
-    path_sum,
-    relation,
-    scalarize,
-)
+from pathembed.relations import EmbeddingMatrix
 from pathembed.training import (
     ConfigError,
     ModelState,
@@ -78,23 +65,17 @@ __all__ = [
     "DatasetError",
     "EdgeSplit",
     "EmbeddingMatrix",
-    "GaussianRelation",
     "Graph",
     "GraphError",
     "LabeledDataset",
-    "LinkScores",
     "ModelState",
     "MultiPathSet",
     "Path",
-    "ScalarRelation",
     "SinglePathSet",
     "TrainConfig",
     "TrainResult",
     "TrainingError",
-    "VectorRelation",
-    "auc",
     "auc_score",
-    "average_precision",
     "average_precision_score",
     "build_multipath_pool",
     "build_singlepath_pool",
@@ -102,19 +83,14 @@ __all__ = [
     "enumerate_simple_paths",
     "evaluate_split",
     "init_state",
-    "kl_gaussian",
     "load_checkpoint",
     "load_dataset",
     "load_edge_list",
     "load_prepared",
     "load_split",
-    "make_link_scores",
-    "path_sum",
     "prepare_dataset",
-    "relation",
     "save_checkpoint",
     "save_split",
-    "scalarize",
     "score_pair",
     "score_pairs",
     "split_edges",

@@ -66,9 +66,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
@@ -106,9 +103,6 @@ class Tensor:
         for node in topo:
             if node._vjp is None and node.grad is not None:
                 node.grad = np.array(node.grad, dtype=np.float64, copy=True)
-
-    def zero_grad(self) -> None:
-        self.grad = None
 
     # -- elementwise arithmetic ----------------------------------------
 
@@ -163,17 +157,6 @@ class Tensor:
     def __rtruediv__(self, other) -> "Tensor":
         return _wrap(other).__truediv__(self)
 
-    def __pow__(self, p) -> "Tensor":
-        if not isinstance(p, (int, float)):
-            raise TypeError("only constant exponents are supported")
-        x = self.data
-        out_data = x ** p
-
-        def vjp(g: Array):
-            return (g * p * x ** (p - 1),)
-
-        return Tensor(out_data, _parents=(self,), _vjp=vjp)
-
     def __matmul__(self, other) -> "Tensor":
         other = _wrap(other)
         a, b = self.data, other.data
@@ -212,7 +195,7 @@ class Tensor:
         out_data = np.clip(self.data, lo, hi)
         return Tensor(out_data, _parents=(self,), _vjp=lambda g: (g * mask,))
 
-    # -- reductions and reshaping --------------------------------------
+    # -- reductions --------------------------------------------------
 
     def sum(self, axis: int | None = None, keepdims: bool = False) -> "Tensor":
         out_data = self.data.sum(axis=axis, keepdims=keepdims)
@@ -228,14 +211,6 @@ class Tensor:
     def mean(self, axis: int | None = None) -> "Tensor":
         count = self.data.size if axis is None else self.data.shape[axis]
         return self.sum(axis=axis) * (1.0 / count)
-
-    def reshape(self, *shape: int) -> "Tensor":
-        old = self.data.shape
-        return Tensor(
-            self.data.reshape(*shape),
-            _parents=(self,),
-            _vjp=lambda g: (g.reshape(old),),
-        )
 
 
 def _wrap(x) -> Tensor:

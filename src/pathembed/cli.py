@@ -48,6 +48,7 @@ from pathembed.training import (
     ConfigError,
     TrainingError,
     load_checkpoint,
+    pool_max_pairs,
     save_checkpoint,
     save_history,
     train,
@@ -197,11 +198,7 @@ def cmd_train(args: argparse.Namespace) -> int:
             cfg.split_seed,
         )
         tcfg = cfg.train
-        max_pairs = (
-            tcfg.max_pairs
-            if tcfg.max_pairs is not None
-            else 10 * max(split.train_graph.num_edges, 1)
-        )
+        max_pairs = pool_max_pairs(tcfg, split.train_graph)
         multi_pool = build_multipath_pool(
             split.train_graph, tcfg.max_len, tcfg.max_paths, max_pairs,
             tcfg.seed, min_hops=tcfg.multi_min_hops,
@@ -248,7 +245,7 @@ def cmd_train(args: argparse.Namespace) -> int:
                 "singlepath_entries": len(single_pool.entries),
             },
             "epochs_run": result.metadata["epochs_run"],
-            "best_val_auc": result.best_val_auc,
+            "best_val_auc": result.metadata["best_val_auc"],
             "wall_time_s": round(time.time() - start, 3),
             "build": _git_describe(),
         }

@@ -3,9 +3,9 @@
 Scores are "higher = more likely edge": the negative relation magnitude,
 symmetrized by averaging both directions for the asymmetric backends.
 AUC is the Mann-Whitney U statistic, a tie counting one half. Average
-precision sorts by descending score and breaks ties by the stable order
-of the input pair list (positives are listed before negatives by the
-builders here).
+precision takes each run of tied scores as one threshold, so it does not
+depend on the order in which pairs are listed. Both reject non-finite
+scores.
 """
 
 from __future__ import annotations
@@ -21,21 +21,6 @@ from pathembed.graph import EdgeSplit, Graph, LabeledDataset, split_edges
 from pathembed.relations import BACKENDS
 
 logger = logging.getLogger(__name__)
-
-
-@dataclass(frozen=True)
-class LinkScores:
-    """Scored node pairs with boolean labels (True = positive)."""
-
-    pairs: np.ndarray     # (M, 2) int
-    scores: np.ndarray    # (M,) float
-    labels: np.ndarray    # (M,) bool
-
-    def __post_init__(self):
-        if not (len(self.pairs) == len(self.scores) == len(self.labels)):
-            raise ValueError("pairs, scores, and labels must align")
-        if not np.isfinite(self.scores).all():
-            raise ValueError("scores must be finite")
 
 
 @dataclass(frozen=True)
@@ -75,31 +60,22 @@ def score_pair(state, i: int, j: int, backend: str) -> float:
     return float(score_pairs(state, np.array([[i, j]]), backend)[0])
 
 
-def make_link_scores(
-    state, pos_pairs: np.ndarray, neg_pairs: np.ndarray, backend: str
-) -> LinkScores:
-    """Score positives and negatives; positives come first in the list."""
-    pos_pairs = np.asarray(pos_pairs, dtype=np.int64).reshape(-1, 2)
-    neg_pairs = np.asarray(neg_pairs, dtype=np.int64).reshape(-1, 2)
-    pairs = np.concatenate([pos_pairs, neg_pairs])
-    scores = np.concatenate(
-        [score_pairs(state, pos_pairs, backend), score_pairs(state, neg_pairs, backend)]
-    )
-    labels = np.concatenate(
-        [np.ones(len(pos_pairs), dtype=bool), np.zeros(len(neg_pairs), dtype=bool)]
-    )
-    return LinkScores(pairs=pairs, scores=scores, labels=labels)
-
-
 # -- ranking metrics -----------------------------------------------------------
+
+
+def _scores(pos_scores, neg_scores) -> tuple[np.ndarray, np.ndarray]:
+    pos = np.asarray(pos_scores, dtype=np.float64).ravel()
+    neg = np.asarray(neg_scores, dtype=np.float64).ravel()
+    if len(pos) == 0 or len(neg) == 0:
+        raise ValueError("ranking metrics need at least one positive and one negative")
+    if not (np.isfinite(pos).all() and np.isfinite(neg).all()):
+        raise ValueError("scores must be finite")
+    return pos, neg
 
 
 def auc_score(pos_scores: np.ndarray, neg_scores: np.ndarray) -> float:
     """P(random positive outscores random negative), ties count one half."""
-    pos_scores = np.asarray(pos_scores, dtype=np.float64).ravel()
-    neg_scores = np.asarray(neg_scores, dtype=np.float64).ravel()
-    if len(pos_scores) == 0 or len(neg_scores) == 0:
-        raise ValueError("auc needs at least one positive and one negative")
+    pos_scores, neg_scores = _scores(pos_scores, neg_scores)
     neg_sorted = np.sort(neg_scores)
     below = np.searchsorted(neg_sorted, pos_scores, side="left").sum()
     not_above = np.searchsorted(neg_sorted, pos_scores, side="right").sum()
@@ -108,36 +84,21 @@ def auc_score(pos_scores: np.ndarray, neg_scores: np.ndarray) -> float:
 
 
 def average_precision_score(pos_scores: np.ndarray, neg_scores: np.ndarray) -> float:
-    """Mean precision at each positive, ranked by score, positives first on ties."""
-    pos_scores = np.asarray(pos_scores, dtype=np.float64).ravel()
-    neg_scores = np.asarray(neg_scores, dtype=np.float64).ravel()
-    if len(pos_scores) == 0 or len(neg_scores) == 0:
-        raise ValueError("average precision needs both positives and negatives")
+    """Mean over positives of the precision at their score's threshold.
+
+    A run of tied scores is one threshold: each positive in it takes the
+    precision over everything scored at least as high.
+    """
+    pos_scores, neg_scores = _scores(pos_scores, neg_scores)
     scores = np.concatenate([pos_scores, neg_scores])
-    labels = np.concatenate(
-        [np.ones(len(pos_scores), dtype=bool), np.zeros(len(neg_scores), dtype=bool)]
-    )
-    return _ap_from_arrays(scores, labels)
-
-
-def _ap_from_arrays(scores: np.ndarray, labels: np.ndarray) -> float:
     order = np.argsort(-scores, kind="stable")
-    hits = labels[order]
-    csum = np.cumsum(hits)
-    k = np.arange(1, len(hits) + 1)
-    return float((csum[hits] / k[hits]).mean())
-
-
-def auc(scores: LinkScores) -> float:
-    if scores.labels.all() or not scores.labels.any():
-        raise ValueError("auc needs both labels present")
-    return auc_score(scores.scores[scores.labels], scores.scores[~scores.labels])
-
-
-def average_precision(scores: LinkScores) -> float:
-    if scores.labels.all() or not scores.labels.any():
-        raise ValueError("average precision needs both labels present")
-    return _ap_from_arrays(scores.scores, scores.labels)
+    ranked = scores[order]
+    hits = order < len(pos_scores)
+    # the last rank of each run of equal scores, then that rank for every slot
+    run_ends = np.flatnonzero(np.append(ranked[1:] != ranked[:-1], True))
+    end = run_ends[np.searchsorted(run_ends, np.arange(len(ranked)))]
+    precision = np.cumsum(hits)[end] / (end + 1)
+    return float(precision[hits].mean())
 
 
 def evaluate_split(state, split: EdgeSplit, backend: str) -> dict:
@@ -148,9 +109,10 @@ def evaluate_split(state, split: EdgeSplit, backend: str) -> dict:
         ("test", split.test_pos, split.test_neg),
     ):
         if len(pos) and len(neg):
-            ls = make_link_scores(state, pos, neg, backend)
-            out[f"{name}_auc"] = auc(ls)
-            out[f"{name}_ap"] = average_precision(ls)
+            pos_scores = score_pairs(state, pos, backend)
+            neg_scores = score_pairs(state, neg, backend)
+            out[f"{name}_auc"] = auc_score(pos_scores, neg_scores)
+            out[f"{name}_ap"] = average_precision_score(pos_scores, neg_scores)
         else:
             out[f"{name}_auc"] = float("nan")
             out[f"{name}_ap"] = float("nan")

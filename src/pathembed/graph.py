@@ -90,17 +90,6 @@ class Graph:
         a, b = (u, v) if u < v else (v, u)
         return a * self.num_nodes + b in self._edge_keys
 
-    def remove_edges(self, pairs: np.ndarray) -> "Graph":
-        """New Graph without the given edges (same node set)."""
-        pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-        drop = {
-            (min(int(a), int(b)), max(int(a), int(b))) for a, b in pairs
-        }
-        keep = np.array(
-            [not (int(a), int(b)) in drop for a, b in self.edges], dtype=bool
-        )
-        return Graph(self.num_nodes, self.edges[keep])
-
     def connected_components(self) -> tuple[int, np.ndarray]:
         """(component count, per-node labels in first-seen order)."""
         labels = np.full(self.num_nodes, -1, dtype=np.int64)

@@ -156,11 +156,6 @@ def enumerate_simple_paths(
     return [Path(p) for p in sorted(found, key=lambda p: (len(p), p))]
 
 
-def count_simple_paths(graph: Graph, i: int, j: int, max_len: int, limit: int = 2) -> int:
-    """Number of simple i-j paths of <= max_len edges, capped at limit."""
-    return len(enumerate_simple_paths(graph, i, j, max_len, max_paths=limit))
-
-
 # -- pool construction -------------------------------------------------------
 
 

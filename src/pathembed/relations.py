@@ -1,4 +1,4 @@
-"""Relation metrics between node embeddings and their algebra.
+"""Relation metrics between node embeddings, one backend object per metric.
 
 Three backends turn an embedding pair into a relation value:
 
@@ -9,14 +9,12 @@ Three backends turn an embedding pair into a relation value:
   embedding difference (mean head + log-variance head).
 
 Relations compose along paths by summation: scalars and vectors add
-elementwise, Gaussians add means and variances. The module also provides
-the discrepancy between two composed relations, the diagonal-Gaussian KL,
-the reparameterization map, and the ELBO used by the ``vi`` backend.
-
-Per-pair functions are plain numpy and serve as the reference. One
-backend object per metric (`BACKENDS`) runs the same math on autodiff
-tensors over whole batches of pairs, for training and for scoring; tests
-pin the two routes to each other.
+elementwise, Gaussians add means and variances. Each backend in
+`BACKENDS` runs its metric on autodiff tensors over whole batches of
+pairs, for training and for scoring, and gives the discrepancy of two
+composed relations (for ``vi`` the squared Gaussian KL) and the ``vi``
+ELBO. The tests hold a per-pair numpy reference that the backends are
+checked against.
 """
 
 from __future__ import annotations
@@ -59,29 +57,6 @@ class EmbeddingMatrix:
         return self.values.shape[1]
 
 
-@dataclass(frozen=True)
-class ScalarRelation:
-    value: float
-
-
-@dataclass(frozen=True)
-class VectorRelation:
-    value: np.ndarray
-
-
-@dataclass(frozen=True)
-class GaussianRelation:
-    mean: np.ndarray
-    var: np.ndarray
-
-    def __post_init__(self):
-        if np.any(np.asarray(self.var) <= 0) or not np.all(np.isfinite(self.var)):
-            raise ValueError("Gaussian relation requires positive finite variances")
-
-
-Relation = ScalarRelation | VectorRelation | GaussianRelation
-
-
 # -- parameters ---------------------------------------------------------------
 
 
@@ -122,158 +97,6 @@ def validate_params(backend: str, k: int, params: dict[str, np.ndarray]) -> None
                 f"{name}: expected {(fan_in, fan_out)}/{(fan_out,)}, "
                 f"got {w.shape}/{b.shape}"
             )
-
-
-# -- per-pair relation functions (numpy route) --------------------------------
-
-
-def g_2norm(phi_i: np.ndarray, phi_j: np.ndarray) -> ScalarRelation:
-    d = np.asarray(phi_i, dtype=np.float64) - np.asarray(phi_j, dtype=np.float64)
-    return ScalarRelation(float(np.sqrt((d * d).sum())))
-
-
-def g_mlp(phi_i, phi_j, params: dict[str, np.ndarray]) -> VectorRelation:
-    x = np.concatenate([np.asarray(phi_i, dtype=np.float64),
-                        np.asarray(phi_j, dtype=np.float64)])
-    if x.shape[0] != params["mlp1_w"].shape[0]:
-        raise ShapeError("embedding size does not match perceptron input")
-    h = np.maximum(x @ params["mlp1_w"] + params["mlp1_b"], 0.0)
-    return VectorRelation(h @ params["mlp2_w"] + params["mlp2_b"])
-
-
-def _encode(diff: np.ndarray, params) -> tuple[np.ndarray, np.ndarray]:
-    h = np.maximum(diff @ params["enc1_w"] + params["enc1_b"], 0.0)
-    mu = h @ params["enc_mu_w"] + params["enc_mu_b"]
-    logvar = np.clip(h @ params["enc_lv_w"] + params["enc_lv_b"], LOGVAR_MIN, LOGVAR_MAX)
-    return mu, logvar
-
-
-def g_vi(phi_i, phi_j, params: dict[str, np.ndarray]) -> GaussianRelation:
-    diff = np.asarray(phi_i, dtype=np.float64) - np.asarray(phi_j, dtype=np.float64)
-    if diff.shape[0] != params["enc1_w"].shape[0]:
-        raise ShapeError("embedding size does not match encoder input")
-    mu, logvar = _encode(diff, params)
-    rel = GaussianRelation(mu, np.exp(logvar))
-    if not (np.isfinite(mu).all() and np.isfinite(rel.var).all()):
-        raise FloatingPointError(f"non-finite relation for pair inputs {phi_i}, {phi_j}")
-    return rel
-
-
-def relation(backend: str, phi_i, phi_j, params) -> Relation:
-    if backend == "2n":
-        return g_2norm(phi_i, phi_j)
-    if backend == "mlp":
-        return g_mlp(phi_i, phi_j, params)
-    if backend == "vi":
-        return g_vi(phi_i, phi_j, params)
-    raise ShapeError(f"unknown backend {backend!r}")
-
-
-# -- relation algebra ----------------------------------------------------------
-
-
-def add_relations(r1: Relation, r2: Relation) -> Relation:
-    if isinstance(r1, ScalarRelation) and isinstance(r2, ScalarRelation):
-        return ScalarRelation(r1.value + r2.value)
-    if isinstance(r1, VectorRelation) and isinstance(r2, VectorRelation):
-        return VectorRelation(r1.value + r2.value)
-    if isinstance(r1, GaussianRelation) and isinstance(r2, GaussianRelation):
-        return GaussianRelation(r1.mean + r2.mean, r1.var + r2.var)
-    raise TypeError(f"cannot add {type(r1).__name__} and {type(r2).__name__}")
-
-
-def path_sum(path, backend: str, emb: EmbeddingMatrix, params) -> Relation:
-    """R_P: the relation summed over consecutive pairs along the path."""
-    nodes = path.nodes if hasattr(path, "nodes") else tuple(path)
-    if len(nodes) < 2:
-        raise ValueError("path_sum needs at least one edge")
-    total: Relation | None = None
-    for a, b in zip(nodes, nodes[1:]):
-        r = relation(backend, emb.values[a], emb.values[b], params)
-        total = r if total is None else add_relations(total, r)
-    return total
-
-
-def kl_gaussian(p: GaussianRelation, q: GaussianRelation) -> float:
-    """D_KL(p || q) for diagonal Gaussians, summed over dimensions."""
-    ratio = p.var / q.var
-    md = q.mean - p.mean
-    return float(0.5 * np.sum(ratio + md * md / q.var - 1.0 + np.log(q.var / p.var)))
-
-
-def discrepancy(r1: Relation, r2: Relation, symmetric: bool = False) -> float:
-    """How far two composed relations disagree (0 iff they match).
-
-    Scalars: squared difference. Vectors: squared Euclidean distance.
-    Gaussians: squared KL in the given argument order, or the squared
-    symmetrized KL when requested.
-    """
-    if isinstance(r1, ScalarRelation) and isinstance(r2, ScalarRelation):
-        return float((r1.value - r2.value) ** 2)
-    if isinstance(r1, VectorRelation) and isinstance(r2, VectorRelation):
-        d = r1.value - r2.value
-        return float((d * d).sum())
-    if isinstance(r1, GaussianRelation) and isinstance(r2, GaussianRelation):
-        if symmetric:
-            kl = 0.5 * (kl_gaussian(r1, r2) + kl_gaussian(r2, r1))
-        else:
-            kl = kl_gaussian(r1, r2)
-        return float(kl ** 2)
-    raise TypeError(f"variant mismatch: {type(r1).__name__} vs {type(r2).__name__}")
-
-
-def scalarize(rel: Relation) -> float:
-    """Collapse any relation to a single comparable magnitude."""
-    if isinstance(rel, ScalarRelation):
-        return float(rel.value)
-    if isinstance(rel, VectorRelation):
-        return float(np.sqrt((rel.value * rel.value).sum()))
-    if isinstance(rel, GaussianRelation):
-        return float(np.sqrt((rel.mean * rel.mean).sum()))
-    raise TypeError(f"unknown relation {type(rel).__name__}")
-
-
-def reparameterize(rel: GaussianRelation, noise: np.ndarray) -> np.ndarray:
-    """Z = mu + sigma * eps for eps of shape (K,) or (L, K)."""
-    noise = np.asarray(noise, dtype=np.float64)
-    return rel.mean + np.sqrt(rel.var) * noise
-
-
-def elbo(
-    phi_i: np.ndarray,
-    phi_j: np.ndarray,
-    params: dict[str, np.ndarray],
-    num_samples: int = 1,
-    noise: np.ndarray | None = None,
-    rng: np.random.Generator | None = None,
-) -> float:
-    """Evidence lower bound for one pair under the vi backend.
-
-    Monte Carlo average over `num_samples` reparameterized draws of the
-    unit-variance decoder log-density of the target (phi_i, phi_j)
-    concatenation, minus KL(q || N(0, I)).
-    """
-    if num_samples < 1:
-        raise ValueError("num_samples must be >= 1")
-    phi_i = np.asarray(phi_i, dtype=np.float64)
-    phi_j = np.asarray(phi_j, dtype=np.float64)
-    k = phi_i.shape[0]
-    rel = g_vi(phi_i, phi_j, params)
-    if noise is None:
-        if rng is None:
-            raise ValueError("provide noise draws or an rng")
-        noise = rng.standard_normal((num_samples, k))
-    noise = np.asarray(noise, dtype=np.float64).reshape(num_samples, k)
-
-    z = reparameterize(rel, noise)                       # (L, K)
-    h = np.maximum(z @ params["dec1_w"] + params["dec1_b"], 0.0)
-    mean = h @ params["dec2_w"] + params["dec2_b"]       # (L, 2K)
-    target = np.concatenate([phi_i, phi_j])
-    sq = ((target - mean) ** 2).sum(axis=1)
-    recon = -0.5 * sq - k * LOG_2PI                      # 2K dims of log N(t; m, 1)
-    logvar = np.log(rel.var)
-    kl = 0.5 * np.sum(rel.var + rel.mean ** 2 - 1.0 - logvar)
-    return float(recon.mean() - kl)
 
 
 # -- batched tensor-mode forwards (autodiff route) -----------------------------
@@ -424,7 +247,9 @@ class Gaussian(Backend):
              rows: np.ndarray, u: np.ndarray, v: np.ndarray, noise: np.ndarray) -> Tensor:
         """Mean ELBO of the pairs (u, v), whose relations are rel[rows].
 
-        Monte Carlo over the (L, M, K) `noise` draws, as `elbo` per pair.
+        Monte Carlo over the (L, M, K) `noise` draws of the unit-variance
+        decoder log-density of each (phi_u, phi_v) concatenation, minus
+        KL(q || N(0, I)).
         """
         mu_e = gather_rows(rel[0], rows)
         lv_e = gather_rows(rel[1], rows)

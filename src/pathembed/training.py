@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import logging
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from pathlib import Path as FilePath
 
 import numpy as np
@@ -484,19 +484,6 @@ def build_objective(
     return total, parts
 
 
-def _full_batch(
-    cm: CompiledMulti | None,
-    cs: CompiledSingle | None,
-    elbo_pairs: np.ndarray,
-    noise: np.ndarray | None,
-    contrast: np.ndarray | None = None,
-    symmetric: bool = False,
-) -> StepBatch:
-    set_ids = np.arange(cm.num_sets, dtype=np.int64) if cm is not None else np.empty(0, dtype=np.int64)
-    entry_ids = np.arange(cs.num_entries, dtype=np.int64) if cs is not None else np.empty(0, dtype=np.int64)
-    return make_step_batch(cm, cs, set_ids, entry_ids, elbo_pairs, noise, contrast, symmetric)
-
-
 def _tensors(state: ModelState) -> tuple[Tensor, dict[str, Tensor]]:
     phi_t = Tensor(state.embeddings.values, requires_grad=True)
     params_t = {n: Tensor(a, requires_grad=True) for n, a in state.metric_params.items()}
@@ -521,91 +508,6 @@ def contrast_triplets(edges: np.ndarray, rng: np.random.Generator) -> np.ndarray
     neg = drawn[np.arange(m), side]
     neg = np.where(neg == src, drawn[np.arange(m), 1 - side], neg)
     return np.stack([src, dst, neg], axis=1)
-
-
-def loss_mul(pool: list[MultiPathSet], state: ModelState, cfg: TrainConfig) -> float:
-    """Batch-averaged multi-path discrepancy over the whole pool."""
-    if not pool:
-        return 0.0
-    cm = compile_multipath(pool)
-    sb = _full_batch(cm, None, np.empty((0, 2), dtype=np.int64), None)
-    one = replace(cfg, balance=1.0)
-    phi_t, params_t = _tensors(state)
-    _, parts = build_objective(phi_t, params_t, sb, one)
-    return parts["loss_mul"]
-
-
-def loss_sin(pool: SinglePathSet, state: ModelState, cfg: TrainConfig, graph: Graph) -> float:
-    """Mean ordering penalty over every non-adjacent pair on pool paths."""
-    cs = compile_singlepath(pool, graph)
-    if cs.num_terms == 0:
-        return 0.0
-    sb = _full_batch(None, cs, np.empty((0, 2), dtype=np.int64), None)
-    zero = replace(cfg, balance=0.0)
-    phi_t, params_t = _tensors(state)
-    _, parts = build_objective(phi_t, params_t, sb, zero)
-    return parts["loss_sin"]
-
-
-def total_loss(
-    state: ModelState,
-    multi_pool: list[MultiPathSet],
-    single_pool: SinglePathSet,
-    cfg: TrainConfig,
-    graph: Graph,
-    noise: np.ndarray | None = None,
-    contrast: np.ndarray | None = None,
-) -> float:
-    """balance * L_mul + (1 - balance) * (L_sin + L_rank), minus the ELBO for vi.
-
-    The vi ELBO term is estimated over every train-graph edge with frozen
-    noise (drawn from the config seed when not supplied). The edge
-    contrast term L_rank is included only when `contrast` triplets (from
-    `contrast_triplets`) are given.
-    """
-    _, parts, _, _ = _full_objective(state, multi_pool, single_pool, cfg, graph,
-                                     noise, contrast)
-    return parts["loss"]
-
-
-def _full_objective(state, multi_pool, single_pool, cfg, graph, noise, contrast):
-    cm = compile_multipath(multi_pool) if multi_pool else None
-    cs = compile_singlepath(single_pool, graph) if single_pool.entries else None
-    metric = BACKENDS[cfg.backend]
-    elbo_pairs = np.empty((0, 2), dtype=np.int64)
-    if metric.elbo is not None and graph.num_edges:
-        elbo_pairs = np.asarray(graph.edges, dtype=np.int64)
-        if noise is None:
-            nrng = np.random.default_rng(np.random.SeedSequence([int(cfg.seed), 0x2015E]))
-            noise = nrng.standard_normal((cfg.mc_samples, len(elbo_pairs), cfg.embedding_dim))
-    sb = _full_batch(cm, cs, elbo_pairs, noise, contrast, symmetric=metric.symmetric)
-    phi_t, params_t = _tensors(state)
-    total, parts = build_objective(phi_t, params_t, sb, cfg)
-    return total, parts, phi_t, params_t
-
-
-def gradients(
-    state: ModelState,
-    multi_pool: list[MultiPathSet],
-    single_pool: SinglePathSet,
-    cfg: TrainConfig,
-    graph: Graph,
-    noise: np.ndarray | None = None,
-    contrast: np.ndarray | None = None,
-) -> dict[str, np.ndarray]:
-    """Exact reverse-mode gradients of total_loss w.r.t. every trainable."""
-    total, _, phi_t, params_t = _full_objective(state, multi_pool, single_pool, cfg,
-                                                graph, noise, contrast)
-    if isinstance(total, Tensor) and total.requires_grad:
-        total.backward()
-    out = {}
-    for name, arr in state.trainables().items():
-        t = phi_t if name == "phi" else params_t[name]
-        g = t.grad if t.grad is not None else np.zeros_like(arr)
-        if not np.isfinite(g).all():
-            raise TrainingError(f"non-finite gradient for {name}")
-        out[name] = g
-    return out
 
 
 # -- optimizer ----------------------------------------------------------------
@@ -673,12 +575,16 @@ class _Cycler:
         return np.concatenate(out)
 
 
+def pool_max_pairs(cfg: TrainConfig, graph: Graph) -> int:
+    """The pools' pair cap: `cfg.max_pairs`, or 10 per edge of the train graph."""
+    return cfg.max_pairs if cfg.max_pairs is not None else 10 * max(graph.num_edges, 1)
+
+
 @dataclass
 class TrainResult:
     state: ModelState
     history: list[dict]
     metadata: dict
-    best_val_auc: float | None = None
 
 
 def train(
@@ -700,7 +606,7 @@ def train(
     """
     cfg.validate()
     start = time.time()
-    max_pairs = cfg.max_pairs if cfg.max_pairs is not None else 10 * max(graph.num_edges, 1)
+    max_pairs = pool_max_pairs(cfg, graph)
     if multi_pool is None:
         multi_pool = build_multipath_pool(
             graph, cfg.max_len, cfg.max_paths, max_pairs, cfg.seed,
@@ -814,8 +720,7 @@ def train(
         "wall_time_s": round(time.time() - start, 3),
         "best_val_auc": best_val,
     }
-    return TrainResult(state=state, history=history, metadata=metadata,
-                       best_val_auc=best_val)
+    return TrainResult(state=state, history=history, metadata=metadata)
 
 
 def _snapshot(state: ModelState) -> dict:

@@ -17,6 +17,17 @@ from scipy import sparse
 from scipy.sparse.linalg import eigsh
 
 from conftest import ACCEPTANCE_VERDICTS
+from objective import full_objective
+from oracle import (
+    GaussianRelation,
+    add_relations,
+    g_vi,
+    kl_gaussian,
+    path_sum,
+    relation,
+    scalarize,
+)
+from pathembed.autodiff import Tensor, segment_sum
 from pathembed.datasets import load_citation_archive, synthetic_citation_graph
 from pathembed.evaluation import (
     auc_score,
@@ -32,29 +43,8 @@ from pathembed.paths import (
     build_singlepath_pool,
     enumerate_simple_paths,
 )
-from pathembed.relations import (
-    EmbeddingMatrix,
-    GaussianRelation,
-    add_relations,
-    g_vi,
-    init_metric_params,
-    kl_gaussian,
-    path_sum,
-    relation,
-    scalarize,
-)
-from pathembed.training import (
-    ModelState,
-    TrainConfig,
-    contrast_triplets,
-    gradients,
-    init_state,
-    loss_mul,
-    total_loss,
-    train,
-)
-
-BACKENDS = ("2n", "mlp", "vi")
+from pathembed.relations import BACKENDS, EmbeddingMatrix, init_metric_params
+from pathembed.training import ModelState, TrainConfig, contrast_triplets, init_state, train
 
 
 def record(num: int, label: str, ok: bool, detail: str) -> None:
@@ -106,8 +96,7 @@ def test_criterion_1_gradient_correctness():
                     (cfg.mc_samples, graph.num_edges, cfg.embedding_dim)
                 )
             contrast = contrast_triplets(graph.edges, np.random.default_rng(6))
-            analytic = gradients(state, mp, sp, cfg, graph, noise=noise,
-                                 contrast=contrast)
+            _, analytic = full_objective(state, cfg, graph, mp, sp, noise, contrast)
             slots = [
                 (name, idx)
                 for name, arr in state.trainables().items()
@@ -121,11 +110,9 @@ def test_criterion_1_gradient_correctness():
                 flat = state.trainables()[name].reshape(-1)
                 keep = flat[idx]
                 flat[idx] = keep + h
-                up = total_loss(state, mp, sp, cfg, graph, noise=noise,
-                                contrast=contrast)
+                up = full_objective(state, cfg, graph, mp, sp, noise, contrast)[0]["loss"]
                 flat[idx] = keep - h
-                down = total_loss(state, mp, sp, cfg, graph, noise=noise,
-                                  contrast=contrast)
+                down = full_objective(state, cfg, graph, mp, sp, noise, contrast)[0]["loss"]
                 flat[idx] = keep
                 numeric = (up - down) / (2 * h)
                 a = analytic[name].reshape(-1)[idx]
@@ -234,21 +221,50 @@ def test_criterion_3_gaussian_algebra():
     nudged = GaussianRelation(same.mean + np.array([1e-3, 0.0]), same.var)
     assert kl_gaussian(same, nudged) > 1e-9
 
-    emb = EmbeddingMatrix(rng.normal(size=(5, 6)))
+    emb = rng.normal(size=(5, 6))
     params = init_metric_params("vi", 6, rng, hidden=8)
     path = (0, 3, 1, 4)
     total = path_sum(path, "vi", emb, params)
     manual = None
     for a, b in zip(path, path[1:]):
-        leg = g_vi(emb.values[a], emb.values[b], params)
+        leg = g_vi(emb[a], emb[b], params)
         manual = leg if manual is None else add_relations(manual, leg)
     exact = (np.array_equal(total.mean, manual.mean)
              and np.array_equal(total.var, manual.var))
+
+    # the production vi backend against the oracle: the squared KL of its
+    # multi-path discrepancy, and the path sums of its summands
+    vi = BACKENDS["vi"]
+
+    def rel_err(got, want):
+        return float(np.max(np.abs(got - want) / np.abs(want)))
+
+    mean = rng.normal(size=(2, 20, 6))
+    var = rng.uniform(0.25, 2.25, size=(2, 20, 6))
+    a, b = (Tensor(mean[0]), Tensor(var[0])), (Tensor(mean[1]), Tensor(var[1]))
+    ps = [GaussianRelation(mean[0, i], var[0, i]) for i in range(20)]
+    qs = [GaussianRelation(mean[1, i], var[1, i]) for i in range(20)]
+    kl_pq = np.array([kl_gaussian(p, q) for p, q in zip(ps, qs)])
+    kl_qp = np.array([kl_gaussian(q, p) for p, q in zip(ps, qs)])
+    worst_prod = max(rel_err(vi.discrepancy(a, b).data, kl_pq ** 2),
+                     rel_err(vi.discrepancy(a, b, symmetric_kl=True).data,
+                             (0.5 * (kl_pq + kl_qp)) ** 2))
+    params_t = {n: Tensor(arr) for n, arr in params.items()}
+    for nodes in [path] + [tuple(rng.integers(0, 5, size=int(rng.integers(2, 7))))
+                           for _ in range(10)]:
+        want = path_sum(nodes, "vi", emb, params)
+        legs = vi.summands(vi.relate(Tensor(emb), np.array(nodes[:-1]), np.array(nodes[1:]),
+                                     params_t, variance=True))
+        got = [segment_sum(t, np.zeros(len(nodes) - 1, dtype=np.int64), 1).data[0]
+               for t in legs]
+        worst_prod = max(worst_prod, rel_err(got[0], want.mean), rel_err(got[1], want.var))
     wall = time.time() - start
-    ok = worst_sigma <= 3.0 and exact and wall < 60.0
+    ok = worst_sigma <= 3.0 and exact and worst_prod <= 1e-12 and wall < 60.0
     record(3, "gaussian algebra", ok,
            f"20 MC checks (worst {worst_sigma:.2f} SE), identity/order "
-           f"properties, exact componentwise path sums; wall {wall:.1f}s")
+           f"properties, exact componentwise path sums; production vi "
+           f"discrepancy and path sums within {worst_prod:.1e} of the oracle "
+           f"(need <=1e-12); wall {wall:.1f}s")
 
 
 # -- 4: constraint satisfiability on closed-form graphs ----------------------
@@ -265,7 +281,7 @@ def test_criterion_4_constraint_satisfiability():
     single = build_singlepath_pool(cycle, cfg.max_len, cfg.max_pairs, cfg.seed)
     result = train(cycle, cfg, multi_pool=multi, single_pool=single)
     steps = len(result.history)  # one batch per epoch at this size
-    final_mul = loss_mul(multi, result.state, cfg)
+    final_mul = full_objective(result.state, cfg, multi_pool=multi)[0]["loss_mul"]
     ok_cycle = final_mul < 1e-3 and steps <= 500
 
     chain = Graph(5, np.array([[0, 1], [1, 2], [2, 3], [3, 4]]))
@@ -276,15 +292,14 @@ def test_criterion_4_constraint_satisfiability():
     sp = build_singlepath_pool(chain, cfg_chain.max_len, cfg_chain.max_pairs,
                                cfg_chain.seed)
     res = train(chain, cfg_chain, multi_pool=[], single_pool=sp)
-    emb = res.state.embeddings
+    emb = res.state.embeddings.values
     params = res.state.metric_params
     margin = np.inf
     for pair, path in sp.entries:
         nodes = path.nodes
         for a in range(len(nodes)):
             for b in range(a + 2, len(nodes)):
-                direct = scalarize(relation("mlp", emb.values[nodes[a]],
-                                            emb.values[nodes[b]], params))
+                direct = scalarize(relation("mlp", emb[nodes[a]], emb[nodes[b]], params))
                 along = scalarize(path_sum(nodes[a:b + 1], "mlp", emb, params))
                 margin = min(margin, direct - along)
     wall = time.time() - start

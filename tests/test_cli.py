@@ -125,6 +125,7 @@ class TestTrain:
         assert meta["pools"]["singlepath_entries"] > 0
         assert meta["train_graph"]["components"] >= 1
         assert meta["wall_time_s"] >= 0
+        assert 0.0 <= meta["best_val_auc"] <= 1.0
         assert isinstance(meta["build"], str) and meta["build"]
 
     def test_epochs_run_counts_epochs_not_steps(self, tmp_path, capsys):

@@ -5,16 +5,12 @@ import pytest
 
 from pathembed.evaluation import (
     ClassifierReport,
-    LinkScores,
     _f1_report,
     _fit_logistic,
-    auc,
     auc_score,
-    average_precision,
     average_precision_score,
     classify_nodes,
     evaluate_split,
-    make_link_scores,
     score_pair,
     score_pairs,
     sweep,
@@ -37,13 +33,12 @@ def brute_auc(pos, neg) -> float:
 
 
 def brute_ap(scores, labels) -> float:
-    order = sorted(range(len(scores)), key=lambda i: (-scores[i], i))
-    hits = 0
+    """Mean over positives of the precision among all items scored at least as high."""
     precisions = []
-    for rank, idx in enumerate(order, start=1):
-        if labels[idx]:
-            hits += 1
-            precisions.append(hits / rank)
+    for s, label in zip(scores, labels):
+        if label:
+            above = [lab for t, lab in zip(scores, labels) if t >= s]
+            precisions.append(sum(above) / len(above))
     return sum(precisions) / len(precisions)
 
 
@@ -123,22 +118,16 @@ def test_ap_matches_brute_force_with_ties():
         )
 
 
-def test_ap_tie_break_follows_list_order():
-    # identical scores everywhere: whichever label comes first in the pair
-    # list fills the top ranks
-    scores = np.zeros(4)
-    pos_first = LinkScores(
-        pairs=np.zeros((4, 2), dtype=np.int64),
-        scores=scores,
-        labels=np.array([True, True, False, False]),
-    )
-    neg_first = LinkScores(
-        pairs=np.zeros((4, 2), dtype=np.int64),
-        scores=scores,
-        labels=np.array([False, False, True, True]),
-    )
-    assert average_precision(pos_first) == 1.0
-    assert average_precision(neg_first) == pytest.approx((1 / 3 + 2 / 4) / 2)
+def test_ap_scores_each_tie_run_as_one_threshold():
+    # all scores tied: one threshold holding everything, so AP = P / (P + N)
+    # while AUC reads one half
+    for n_pos, n_neg in ((1, 1), (2, 2), (3, 5), (7, 2)):
+        pos, neg = np.zeros(n_pos), np.zeros(n_neg)
+        assert average_precision_score(pos, neg) == n_pos / (n_pos + n_neg)
+        assert auc_score(pos, neg) == 0.5
+    # a tie between a positive and a negative: the positive's threshold
+    # holds both, so its precision is 2/3, not 1
+    assert average_precision_score([1.0, 0.5], [0.5, 0.0]) == pytest.approx((1 + 2 / 3) / 2)
 
 
 def test_ap_degrades_as_high_negatives_accumulate():
@@ -172,23 +161,20 @@ def test_auc_ap_equal_one_iff_separated():
 # -- link scores ---------------------------------------------------------------------
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_link_scores_validation():
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError):
+            auc_score([bad, 1.0], [0.0])
+        with pytest.raises(ValueError):
+            average_precision_score([1.0], [0.0, bad])
+    # infinite embeddings give non-finite scores, which evaluation rejects
+    g = Graph(8, np.array([[i, i + 1] for i in range(7)]))
+    split = split_edges(g, 0.0, 0.3, seed=0)
+    state = random_state("2n", n=8, k=3, seed=7)
+    state.embeddings.values[:] = np.inf
     with pytest.raises(ValueError):
-        LinkScores(np.zeros((2, 2), dtype=np.int64), np.zeros(3), np.zeros(2, bool))
-    with pytest.raises(ValueError):
-        LinkScores(
-            np.zeros((1, 2), dtype=np.int64), np.array([np.nan]), np.ones(1, bool)
-        )
-
-
-def test_auc_on_link_scores_requires_both_labels():
-    ls = LinkScores(
-        np.zeros((2, 2), dtype=np.int64), np.array([1.0, 2.0]), np.ones(2, bool)
-    )
-    with pytest.raises(ValueError):
-        auc(ls)
-    with pytest.raises(ValueError):
-        average_precision(ls)
+        evaluate_split(state, split, "2n")
 
 
 @pytest.mark.parametrize("backend", ["2n", "mlp", "vi"])
@@ -209,13 +195,6 @@ def test_score_identical_embeddings_is_maximal():
     scores = score_pairs(state, np.array([[0, 1], [0, 2]]), "2n")
     assert scores[0] == 0.0
     assert scores[0] > scores[1]
-
-
-def test_make_link_scores_orders_positives_first():
-    state = random_state("2n", n=6, k=3, seed=6)
-    ls = make_link_scores(state, np.array([[0, 1]]), np.array([[2, 3], [4, 5]]), "2n")
-    assert ls.labels.tolist() == [True, False, False]
-    assert len(ls.pairs) == 3
 
 
 def test_evaluate_split_reports_nan_when_partition_empty():

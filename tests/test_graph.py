@@ -28,7 +28,8 @@ def brute_force_bridges(g: Graph):
     base, _ = g.connected_components()
     out = []
     for a, b in g.edges:
-        reduced = g.remove_edges(np.array([[a, b]]))
+        keep = ~((g.edges[:, 0] == a) & (g.edges[:, 1] == b))
+        reduced = Graph(g.num_nodes, g.edges[keep])
         count, _ = reduced.connected_components()
         if count > base:
             out.append((int(a), int(b)))

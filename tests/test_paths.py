@@ -11,7 +11,6 @@ from pathembed.paths import (
     bfs_distances,
     build_multipath_pool,
     build_singlepath_pool,
-    count_simple_paths,
     enumerate_simple_paths,
     validate_path,
 )
@@ -122,8 +121,9 @@ class TestEnumerate:
 
     def test_count_early_exit(self):
         g = Graph(3, np.array([[0, 1], [1, 2], [0, 2]]))
-        assert count_simple_paths(g, 0, 1, max_len=2, limit=2) == 2
-        assert count_simple_paths(g, 0, 1, max_len=1, limit=2) == 1
+        assert len(enumerate_simple_paths(g, 0, 1, max_len=2, max_paths=2)) == 2
+        assert len(enumerate_simple_paths(g, 0, 1, max_len=1, max_paths=2)) == 1
+        assert len(enumerate_simple_paths(g, 0, 1, max_len=2, max_paths=1)) == 1
 
 
 class TestBfsDistances:
@@ -246,7 +246,7 @@ class TestSinglePathPool:
                 # carrying the same (unique) path the exhaustive pool finds
                 assert pair in full_by_pair
                 assert path.nodes == full_by_pair[pair].nodes
-                assert count_simple_paths(g, pair[0], pair[1], max_len=4) == 1
+                assert len(enumerate_simple_paths(g, pair[0], pair[1], 4, max_paths=2)) == 1
 
     def test_min_hops_filters_adjacent_entries(self):
         g = Graph(4, np.array([[0, 1], [1, 2], [2, 3]]))

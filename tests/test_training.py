@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from objective import full_objective
 from pathembed.graph import Graph, split_edges
 from pathembed.paths import SinglePathSet, build_multipath_pool, build_singlepath_pool
 from pathembed.relations import EmbeddingMatrix
@@ -19,15 +20,12 @@ from pathembed.training import (
     compile_multipath,
     compile_singlepath,
     contrast_triplets,
-    gradients,
     init_state,
     load_checkpoint,
-    loss_mul,
-    loss_sin,
     make_step_batch,
+    pool_max_pairs,
     save_checkpoint,
     save_history,
-    total_loss,
     train,
 )
 
@@ -106,6 +104,13 @@ def test_config_round_trips_through_dict():
 def test_config_rejects_unknown_keys():
     with pytest.raises(ConfigError):
         TrainConfig.from_dict({"learning_rte": 0.1})
+
+
+def test_pool_max_pairs_defaults_to_ten_per_edge():
+    g = Graph(7, CYCLE_WITH_TAIL)
+    assert pool_max_pairs(small_cfg(max_pairs=None), g) == 10 * g.num_edges
+    assert pool_max_pairs(small_cfg(max_pairs=None), Graph(3, np.empty((0, 2)))) == 10
+    assert pool_max_pairs(small_cfg(max_pairs=7), g) == 7
 
 
 # -- initialization --------------------------------------------------------------
@@ -217,7 +222,7 @@ def test_loss_mul_unit_square_four_cycle():
     pool = build_multipath_pool(g, 3, 4, 50, seed=0)
     assert len(pool) == 6
     cfg = small_cfg(embedding_dim=2, max_len=3)
-    value = loss_mul(pool, unit_square_state(), cfg)
+    value = full_objective(unit_square_state(), cfg, multi_pool=pool)[0]["loss_mul"]
     assert value == pytest.approx(8.0 / 3.0, rel=1e-12)
 
 
@@ -226,7 +231,7 @@ def test_loss_mul_zero_on_tree():
     cfg = small_cfg()
     pool = build_multipath_pool(g, cfg.max_len, cfg.max_paths, cfg.max_pairs, cfg.seed)
     assert pool == []
-    assert loss_mul(pool, init_state(cfg, g), cfg) == 0.0
+    assert full_objective(init_state(cfg, g), cfg, multi_pool=pool)[0]["loss_mul"] == 0.0
 
 
 def test_loss_sin_surrogate_positive_and_r_equal_gives_one():
@@ -237,7 +242,8 @@ def test_loss_sin_surrogate_positive_and_r_equal_gives_one():
     state = ModelState(EmbeddingMatrix(emb), {})
     cfg = small_cfg(embedding_dim=2, max_len=2)
     pool = build_singlepath_pool(g, 2, 50, seed=0)
-    assert loss_sin(pool, state, cfg, g) == pytest.approx(1.0, rel=1e-12)
+    loss = full_objective(state, cfg, g, single_pool=pool)[0]["loss_sin"]
+    assert loss == pytest.approx(1.0, rel=1e-12)
 
 
 def test_loss_sin_modes_disagree_in_sign():
@@ -246,8 +252,8 @@ def test_loss_sin_modes_disagree_in_sign():
     cfg_u = small_cfg(single_mode="unbounded")
     pool = build_singlepath_pool(g, cfg_b.max_len, cfg_b.max_pairs, cfg_b.seed)
     state = init_state(cfg_b, g)
-    assert loss_sin(pool, state, cfg_b, g) > 0.0
-    assert loss_sin(pool, state, cfg_u, g) < 0.0
+    assert full_objective(state, cfg_b, g, single_pool=pool)[0]["loss_sin"] > 0.0
+    assert full_objective(state, cfg_u, g, single_pool=pool)[0]["loss_sin"] < 0.0
 
 
 def test_loss_sin_grows_as_margins_shrink():
@@ -262,7 +268,7 @@ def test_loss_sin_grows_as_margins_shrink():
     values = []
     for scale in (0.5, 1.0, 2.0, 4.0):
         state = ModelState(EmbeddingMatrix(base * scale), {})
-        values.append(loss_sin(pool, state, cfg, g))
+        values.append(full_objective(state, cfg, g, single_pool=pool)[0]["loss_sin"])
     assert values == sorted(values)
     assert values[-1] > values[0]
 
@@ -274,8 +280,10 @@ def test_balance_endpoints_match_constituents_exactly():
     state = init_state(cfg, g)
     cfg1 = small_cfg(balance=1.0)
     cfg0 = small_cfg(balance=0.0)
-    assert total_loss(state, mp, sp, cfg1, g) == loss_mul(mp, state, cfg1)
-    assert total_loss(state, mp, sp, cfg0, g) == loss_sin(sp, state, cfg0, g)
+    assert (full_objective(state, cfg1, g, mp, sp)[0]["loss"]
+            == full_objective(state, cfg1, multi_pool=mp)[0]["loss_mul"])
+    assert (full_objective(state, cfg0, g, mp, sp)[0]["loss"]
+            == full_objective(state, cfg0, g, single_pool=sp)[0]["loss_sin"])
 
 
 def test_total_loss_blends_with_balance():
@@ -283,9 +291,9 @@ def test_total_loss_blends_with_balance():
     cfg = small_cfg(balance=0.3)
     mp, sp = pools_for(g, cfg)
     state = init_state(cfg, g)
-    lm = loss_mul(mp, state, cfg)
-    ls = loss_sin(sp, state, cfg, g)
-    tot = total_loss(state, mp, sp, cfg, g)
+    lm = full_objective(state, cfg, multi_pool=mp)[0]["loss_mul"]
+    ls = full_objective(state, cfg, g, single_pool=sp)[0]["loss_sin"]
+    tot = full_objective(state, cfg, g, mp, sp)[0]["loss"]
     assert tot == pytest.approx(0.3 * lm + 0.7 * ls, rel=1e-12)
 
 
@@ -295,14 +303,14 @@ def test_total_loss_vi_subtracts_elbo_and_is_noise_deterministic():
     mp, sp = pools_for(g, cfg)
     state = init_state(cfg, g)
     noise = vi_noise(cfg, g)
-    a = total_loss(state, mp, sp, cfg, g, noise=noise)
-    b = total_loss(state, mp, sp, cfg, g, noise=noise)
+    a = full_objective(state, cfg, g, mp, sp, noise)[0]["loss"]
+    b = full_objective(state, cfg, g, mp, sp, noise)[0]["loss"]
     assert a == b
-    other = total_loss(state, mp, sp, cfg, g, noise=vi_noise(cfg, g, seed=5))
+    other = full_objective(state, cfg, g, mp, sp, vi_noise(cfg, g, seed=5))[0]["loss"]
     assert a != other
     # subtracting the elbo raises the loss relative to the elbo-free blend
-    lm = loss_mul(mp, state, cfg)
-    ls = loss_sin(sp, state, cfg, g)
+    lm = full_objective(state, cfg, multi_pool=mp)[0]["loss_mul"]
+    ls = full_objective(state, cfg, g, single_pool=sp)[0]["loss_sin"]
     blend = 0.5 * lm + 0.5 * ls
     assert a != pytest.approx(blend)
 
@@ -369,7 +377,8 @@ def test_duplicate_batch_ids_keep_terms_wired_and_weighted():
         st = ModelState(EmbeddingMatrix(phi), {})
         # 2n single-path terms obey the triangle inequality, so the
         # unbounded loss can never fall below -1 on any batch
-        assert loss_sin(sp, st, small_cfg(single_mode="unbounded"), g) >= -1.0 - 1e-12
+        unbounded = small_cfg(single_mode="unbounded")
+        assert full_objective(st, unbounded, g, single_pool=sp)[0]["loss_sin"] >= -1.0 - 1e-12
     assert np.isfinite(mixed["loss_mul"]) and np.isfinite(mixed["loss_sin"])
 
 
@@ -403,13 +412,13 @@ def test_contrast_term_hand_computed_and_weighted_on_the_order_side():
     no_paths = SinglePathSet(entries=())
     triplets = np.array([[0, 1, 2], [2, 1, 0]])
     cfg = small_cfg(embedding_dim=1, balance=0.25)
-    value = total_loss(state, [], no_paths, cfg, g, contrast=triplets)
+    value = full_objective(state, cfg, g, single_pool=no_paths, contrast=triplets)[0]["loss"]
     # second triplet: edge (2, 1) length 2 vs (2, 0) length 3
     want = 0.75 * (np.log1p(np.exp(1.0 - 9.0)) + np.log1p(np.exp(4.0 - 9.0)))
     assert value == pytest.approx(want, rel=1e-12)
-    assert total_loss(state, [], no_paths, cfg, g) == 0.0
-    assert total_loss(state, [], no_paths, small_cfg(embedding_dim=1, balance=1.0), g,
-                      contrast=triplets) == 0.0
+    assert full_objective(state, cfg, g, single_pool=no_paths)[0]["loss"] == 0.0
+    full_balance = small_cfg(embedding_dim=1, balance=1.0)
+    assert full_objective(state, full_balance, g, contrast=triplets)[0]["loss"] == 0.0
 
 
 # -- gradient checks --------------------------------------------------------------
@@ -424,7 +433,7 @@ def test_gradients_match_finite_differences(backend, mode):
     state = init_state(cfg, g)
     noise = vi_noise(cfg, g) if backend == "vi" else None
     contrast = contrast_triplets(g.edges, np.random.default_rng(1))
-    grads = gradients(state, mp, sp, cfg, g, noise=noise, contrast=contrast)
+    _, grads = full_objective(state, cfg, g, mp, sp, noise, contrast)
     rng = np.random.default_rng(0)
     h = 1e-6
     checked = 0
@@ -433,9 +442,9 @@ def test_gradients_match_finite_differences(backend, mode):
         for idx in rng.choice(flat.size, size=min(4, flat.size), replace=False):
             keep = flat[idx]
             flat[idx] = keep + h
-            up = total_loss(state, mp, sp, cfg, g, noise=noise, contrast=contrast)
+            up = full_objective(state, cfg, g, mp, sp, noise, contrast)[0]["loss"]
             flat[idx] = keep - h
-            down = total_loss(state, mp, sp, cfg, g, noise=noise, contrast=contrast)
+            down = full_objective(state, cfg, g, mp, sp, noise, contrast)[0]["loss"]
             flat[idx] = keep
             numeric = (up - down) / (2 * h)
             analytic = grads[name].reshape(-1)[idx]
@@ -451,7 +460,7 @@ def test_gradients_zero_when_objective_is_empty():
     cfg = small_cfg(backend="mlp", balance=1.0)
     mp, sp = pools_for(g, cfg)
     state = init_state(cfg, g)
-    grads = gradients(state, mp, sp, cfg, g)
+    _, grads = full_objective(state, cfg, g, mp, sp)
     for name, grad in grads.items():
         assert not grad.any(), name
 
@@ -534,7 +543,7 @@ def test_train_four_cycle_drives_equivalence_loss_down():
     mp = build_multipath_pool(g, cfg.max_len, cfg.max_paths, cfg.max_pairs, cfg.seed)
     sp = build_singlepath_pool(g, cfg.max_len, cfg.max_pairs, cfg.seed)
     r = train(g, cfg, multi_pool=mp, single_pool=sp)
-    assert loss_mul(mp, r.state, cfg) < 1e-3
+    assert full_objective(r.state, cfg, multi_pool=mp)[0]["loss_mul"] < 1e-3
 
 
 def test_train_on_tree_with_full_balance_is_a_no_op():
@@ -568,12 +577,13 @@ def test_train_early_stops_and_restores_best():
     r = train(split.train_graph, cfg, val_pos=split.val_pos, val_neg=split.val_neg)
     assert r.metadata["stopped_early"]
     assert r.metadata["epochs_run"] < 200
-    assert r.best_val_auc is not None
+    best = r.metadata["best_val_auc"]
+    assert best is not None
     from pathembed.evaluation import auc_score, score_pairs
 
     pos = score_pairs(r.state, split.val_pos, cfg.backend)
     neg = score_pairs(r.state, split.val_neg, cfg.backend)
-    assert auc_score(pos, neg) == pytest.approx(r.best_val_auc, abs=1e-12)
+    assert auc_score(pos, neg) == pytest.approx(best, abs=1e-12)
 
 
 # -- persistence ---------------------------------------------------------------------
