@@ -29,9 +29,9 @@ from pathembed.datasets import (
     toy_graph,
 )
 from pathembed.evaluation import (
-    SWEEP_COLUMNS,
     classify_nodes,
     evaluate_split,
+    read_sweep_rows,
     sweep,
     write_sweep_csv,
 )
@@ -48,7 +48,7 @@ from pathembed.training import (
     ConfigError,
     TrainingError,
     load_checkpoint,
-    pool_max_pairs,
+    pool_arguments,
     save_checkpoint,
     save_history,
     train,
@@ -198,18 +198,9 @@ def cmd_train(args: argparse.Namespace) -> int:
             cfg.split_seed,
         )
         tcfg = cfg.train
-        max_pairs = pool_max_pairs(tcfg, split.train_graph)
-        multi_pool = build_multipath_pool(
-            split.train_graph, tcfg.max_len, tcfg.max_paths, max_pairs,
-            tcfg.seed, min_hops=tcfg.multi_min_hops,
-            exhaustive_limit=tcfg.exhaustive_limit,
-            path_budget=tcfg.path_budget,
-        )
-        single_pool = build_singlepath_pool(
-            split.train_graph, tcfg.max_len, max_pairs, tcfg.seed,
-            min_hops=tcfg.single_min_hops,
-            exhaustive_limit=tcfg.exhaustive_limit,
-        )
+        multi_args, single_args = pool_arguments(tcfg, split.train_graph)
+        multi_pool = build_multipath_pool(split.train_graph, **multi_args)
+        single_pool = build_singlepath_pool(split.train_graph, **single_args)
         result = train(
             split.train_graph, tcfg,
             multi_pool=multi_pool, single_pool=single_pool,
@@ -306,36 +297,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _read_sweep_rows(path: FilePath, param: str) -> list[dict]:
-    """Load previously computed grid points from an interrupted sweep."""
-    rows: list[dict] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != ",".join(SWEEP_COLUMNS):
-            raise ConfigError(
-                f"existing sweep file {path} has unexpected columns {header!r}"
-            )
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            fields = line.split(",")
-            if fields[0] != param:
-                raise ConfigError(
-                    f"existing sweep file {path} holds param {fields[0]!r}, "
-                    f"config asks for {param!r}"
-                )
-            rows.append({
-                "param": fields[0],
-                "value": fields[1],
-                "trial": int(fields[2]),
-                "auc": float(fields[3]),
-                "ap": float(fields[4]),
-                "micro_f1": float(fields[5]),
-            })
-    return rows
-
-
 def cmd_sweep(args: argparse.Namespace) -> int:
     cfg = _apply_overrides(load_config(args.config), args)
     if cfg.sweep is None:
@@ -343,8 +304,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     out_path = FilePath(args.out)
     out_path.parent.mkdir(parents=True, exist_ok=True)
 
+    param, values, trials = cfg.sweep["param"], cfg.sweep["values"], cfg.sweep["trials"]
+    old_rows = read_sweep_rows(out_path, param, values, trials) if out_path.exists() else []
     dataset = resolve_dataset(cfg.dataset)
-    old_rows = _read_sweep_rows(out_path, cfg.sweep["param"]) if out_path.exists() else []
     completed = {(row["value"], row["trial"]) for row in old_rows}
     if completed:
         print(f"resuming: {len(completed)} grid points already on disk")
@@ -352,17 +314,16 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     new_rows, errors = sweep(
         dataset.graph,
         cfg.train,
-        cfg.sweep["param"],
-        cfg.sweep["values"],
-        trials=cfg.sweep["trials"],
+        param,
+        values,
+        trials=trials,
         labels=dataset.labels,
-        threads=args.threads,
         val_fraction=cfg.split["val_fraction"],
         test_fraction=cfg.split["test_fraction"],
         completed=completed,
     )
 
-    value_order = {str(v): i for i, v in enumerate(cfg.sweep["values"])}
+    value_order = {str(v): i for i, v in enumerate(values)}
     merged = old_rows + new_rows
     merged.sort(key=lambda r: (value_order[str(r["value"])], r["trial"]))
     write_sweep_csv(merged, out_path)
@@ -409,8 +370,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True, help="YAML config with sweep:")
     p.add_argument("--out", required=True, help="output CSV path")
     p.add_argument("--seed", type=int, default=None, help="override all seeds")
-    p.add_argument("--threads", type=int, default=1,
-                   help="how many grid points run at once")
     p.set_defaults(func=cmd_sweep)
     return parser
 

@@ -174,7 +174,6 @@ def classify_nodes(
     train_fraction: float = 0.1,
     seed: int = 0,
     repeats: int = 10,
-    embeddings: np.ndarray | None = None,
 ) -> ClassifierReport:
     """One-vs-rest logistic regression on node embeddings.
 
@@ -186,11 +185,10 @@ def classify_nodes(
     """
     if not 0.0 < train_fraction < 1.0:
         raise ValueError("train_fraction must lie strictly between 0 and 1")
-    X_full = embeddings if embeddings is not None else state.embeddings.values
     labeled = np.flatnonzero(dataset.labels >= 0)
     if labeled.size == 0:
         raise ValueError("dataset has no labeled nodes")
-    X = np.asarray(X_full, dtype=np.float64)[labeled]
+    X = state.embeddings.values[labeled]
     y = dataset.labels[labeled]
     num_classes = dataset.num_classes
     n_train = max(1, int(np.floor(train_fraction * len(labeled))))
@@ -295,7 +293,6 @@ def sweep(
     values,
     trials: int = 10,
     labels: np.ndarray | None = None,
-    threads: int = 1,
     val_fraction: float = 0.05,
     test_fraction: float = 0.10,
     classify_fraction: float = 0.1,
@@ -305,11 +302,11 @@ def sweep(
 
     `param` is either a training-config field or "train_fraction" (which
     varies the edge split instead: test takes what train gives up, with a
-    fixed validation slice). `threads` grid points run at once. Returns
-    (rows, errors), both in grid order; a failing grid point is recorded
-    in `errors` and the sweep continues. Grid points whose
-    `(str(value), trial)` key appears in `completed` are skipped, which
-    lets callers resume an interrupted sweep from rows already on disk.
+    fixed validation slice). Returns (rows, errors), both in grid order;
+    a failing grid point is recorded in `errors` and the sweep continues.
+    Grid points whose `(str(value), trial)` key appears in `completed` are
+    skipped, which lets callers resume an interrupted sweep from rows
+    already on disk (see `read_sweep_rows`).
     """
     if not values:
         raise ValueError("sweep needs a non-empty value grid")
@@ -317,24 +314,14 @@ def sweep(
     if completed:
         points = [(v, t) for v, t in points if (str(v), t) not in completed]
 
-    def run(point):
-        value, trial = point
+    rows, errors = [], []
+    for value, trial in points:
         try:
-            return _sweep_point(graph, base_cfg, param, value, trial, labels,
-                                val_fraction, test_fraction, classify_fraction), None
+            rows.append(_sweep_point(graph, base_cfg, param, value, trial, labels,
+                                     val_fraction, test_fraction, classify_fraction))
         except Exception as exc:  # noqa: BLE001 - per-point isolation
-            logger.warning("sweep point %s failed: %s", point, exc)
-            return None, {"param": param, "value": value, "trial": trial, "error": str(exc)}
-
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run, points))
-    else:
-        results = [run(point) for point in points]
-    rows = [row for row, _ in results if row is not None]
-    errors = [error for _, error in results if error is not None]
+            logger.warning("sweep point %s failed: %s", (value, trial), exc)
+            errors.append({"param": param, "value": value, "trial": trial, "error": str(exc)})
     return rows, errors
 
 
@@ -346,3 +333,42 @@ def write_sweep_csv(rows: list[dict], path: str | FilePath) -> None:
                 f"{row['param']},{row['value']},{row['trial']},"
                 f"{row['auc']:.10g},{row['ap']:.10g},{row['micro_f1']:.10g}\n"
             )
+
+
+def read_sweep_rows(path: str | FilePath, param: str, values, trials: int) -> list[dict]:
+    """The rows of an interrupted sweep, for resuming the grid (param, values, trials).
+
+    Raises ConfigError if the file does not hold a part of that grid.
+    """
+    from pathembed.training import ConfigError  # deferred: training imports this module
+
+    grid = {(str(v), t) for v in values for t in range(trials)}
+    rows: list[dict] = []
+    with open(path, "r", encoding="utf-8") as fh:
+        header = fh.readline().strip()
+        if header != ",".join(SWEEP_COLUMNS):
+            raise ConfigError(f"existing sweep file {path} has unexpected columns {header!r}")
+        for line in fh:
+            line = line.strip()
+            if not line:
+                continue
+            fields = line.split(",")
+            if fields[0] != param:
+                raise ConfigError(
+                    f"existing sweep file {path} holds param {fields[0]!r}, "
+                    f"config asks for {param!r}"
+                )
+            if (fields[1], int(fields[2])) not in grid:
+                raise ConfigError(
+                    f"existing sweep file {path} holds {param}={fields[1]} trial "
+                    f"{fields[2]}, outside the config's grid; use a new output file"
+                )
+            rows.append({
+                "param": fields[0],
+                "value": fields[1],
+                "trial": int(fields[2]),
+                "auc": float(fields[3]),
+                "ap": float(fields[4]),
+                "micro_f1": float(fields[5]),
+            })
+    return rows

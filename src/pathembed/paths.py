@@ -169,7 +169,7 @@ def _bridge_forest_adjacency(graph: Graph) -> dict[int, list[int]]:
     return adj
 
 
-def _bridge_forest_pairs(graph: Graph, max_len: int, min_hops: int):
+def _bridge_forest_pairs(graph: Graph, max_len: int):
     """(pair, forest path) for all pairs joined by <= max_len bridges.
 
     Bridge edges form a forest (no bridge lies on a cycle), so the walk
@@ -191,7 +191,7 @@ def _bridge_forest_pairs(graph: Graph, max_len: int, min_hops: int):
                     continue
                 trail.append(v)
                 on_trail.add(v)
-                if v > u and len(trail) - 1 >= min_hops:
+                if v > u:
                     out.append(((u, v), Path(tuple(trail))))
                 if len(trail) - 1 < max_len:
                     stack.append((v, iter(adj[v])))
@@ -205,13 +205,21 @@ def _bridge_forest_pairs(graph: Graph, max_len: int, min_hops: int):
     return out
 
 
+def _hop_ball_pairs(graph: Graph, max_len: int, min_dist: int) -> list[tuple[int, int]]:
+    """Every pair (u, v), u < v, at hop distance min_dist..max_len, in (u, v) order."""
+    pairs = []
+    for u in range(graph.num_nodes):
+        dist = bfs_distances(graph, u, max_len)  # -1 beyond max_len
+        pairs.extend((u, int(v)) for v in np.nonzero(dist >= min_dist)[0] if v > u)
+    return pairs
+
+
 def build_multipath_pool(
     graph: Graph,
     max_len: int,
     max_paths: int,
     max_pairs: int,
     seed: int,
-    min_hops: int = 1,
     exhaustive_limit: int = 200_000,
     path_budget: int | None = None,
 ) -> list[MultiPathSet]:
@@ -238,20 +246,15 @@ def build_multipath_pool(
         if len(paths) >= 2:
             sets.append(MultiPathSet(pair, tuple(paths)))
 
-    if min_hops <= 1:
-        for u, v in graph.edges:
-            if len(sets) >= max_pairs:
-                break
-            consider(int(u), int(v))
+    for u, v in graph.edges:
+        if len(sets) >= max_pairs:
+            break
+        consider(int(u), int(v))
 
     n = graph.num_nodes
     if len(sets) < max_pairs:
         if n * (n - 1) // 2 <= exhaustive_limit:
-            candidates = []
-            for u in range(n):
-                dist = bfs_distances(graph, u, max_len)
-                eligible = np.nonzero((dist >= max(2, min_hops)) & (dist <= max_len))[0]
-                candidates.extend((u, int(v)) for v in eligible if v > u)
+            candidates = _hop_ball_pairs(graph, max_len, 2)
             for k in rng.permutation(len(candidates)):
                 if len(sets) >= max_pairs:
                     break
@@ -262,8 +265,7 @@ def build_multipath_pool(
             while len(sets) < max_pairs and attempts < attempt_cap:
                 u = int(rng.integers(0, n))
                 dist = bfs_distances(graph, u, max_len)
-                eligible = np.nonzero((dist >= max(2, min_hops)) & (dist <= max_len))[0]
-                eligible = eligible[eligible != u]
+                eligible = np.nonzero((dist >= 2) & (dist <= max_len))[0]
                 if eligible.size == 0:
                     attempts += 8
                     continue
@@ -339,7 +341,6 @@ def build_singlepath_pool(
     max_len: int,
     max_pairs: int,
     seed: int,
-    min_hops: int = 1,
     exhaustive_limit: int = 200_000,
 ) -> SinglePathSet:
     """Pairs with exactly one simple path within max_len.
@@ -356,19 +357,14 @@ def build_singlepath_pool(
     entries: list[tuple[tuple[int, int], Path]] = []
     seen: set[tuple[int, int]] = set()
 
-    for pair, path in _bridge_forest_pairs(graph, max_len, min_hops):
+    for pair, path in _bridge_forest_pairs(graph, max_len):
         if pair not in seen:
             seen.add(pair)
             entries.append((pair, path))
 
     n = graph.num_nodes
-    lo = max(1, min_hops)
     if n * (n - 1) // 2 <= exhaustive_limit:
-        extras = []
-        for u in range(n):
-            dist = bfs_distances(graph, u, max_len)
-            eligible = np.nonzero((dist >= lo) & (dist <= max_len))[0]
-            extras.extend((u, int(v)) for v in eligible if v > u and (u, int(v)) not in seen)
+        extras = [pair for pair in _hop_ball_pairs(graph, max_len, 1) if pair not in seen]
         for u, v in extras:
             found = enumerate_simple_paths(graph, u, v, max_len, max_paths=2)
             if len(found) == 1:
@@ -386,7 +382,7 @@ def build_singlepath_pool(
         while accepted < max_pairs and budget > 0 and misses < 2000:
             u = int(rng.integers(n))
             dist = bfs_distances(graph, u, max_len)
-            eligible = np.nonzero((dist >= lo) & (dist <= max_len))[0]
+            eligible = np.nonzero((dist >= 1) & (dist <= max_len))[0]
             if eligible.size == 0:
                 misses += 1
                 continue

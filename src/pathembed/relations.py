@@ -48,14 +48,6 @@ class EmbeddingMatrix:
         if not np.isfinite(self.values).all():
             raise ValueError("embeddings contain non-finite entries")
 
-    @property
-    def num_nodes(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.values.shape[1]
-
 
 # -- parameters ---------------------------------------------------------------
 

@@ -28,13 +28,19 @@ from pathembed.paths import (
     build_multipath_pool,
     build_singlepath_pool,
 )
-from pathembed.relations import BACKENDS, EmbeddingMatrix, init_metric_params, validate_params
+from pathembed.relations import (
+    BACKENDS,
+    EmbeddingMatrix,
+    ShapeError,
+    init_metric_params,
+    validate_params,
+)
 
 logger = logging.getLogger(__name__)
 
 SINGLE_MODES = ("bounded", "unbounded")
 HISTORY_COLUMNS = ("loss", "loss_mul", "loss_sin", "elbo", "loss_rank")
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 class ConfigError(ValueError):
@@ -62,10 +68,7 @@ class TrainConfig:
     symmetric_kl: bool = False
     grad_clip: float = 5.0            # applied in unbounded mode only
     patience: int = 20
-    multi_min_hops: int = 1
-    single_min_hops: int = 1
-    path_budget: int | None = 2000
-    exhaustive_limit: int = 200_000
+    path_budget: int | None = 2000    # DFS descents per multi-path pair
     seed: int = 0
 
     def validate(self) -> None:
@@ -81,8 +84,9 @@ class TrainConfig:
                      "max_len", "max_paths", "mc_samples", "patience"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
-        if self.max_pairs is not None and self.max_pairs < 1:
-            raise ConfigError("max_pairs must be >= 1 when set")
+        for name in ("max_pairs", "path_budget"):
+            if getattr(self, name) is not None and getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1 when set")
         if self.grad_clip <= 0:
             raise ConfigError("grad_clip must be positive")
 
@@ -575,9 +579,14 @@ class _Cycler:
         return np.concatenate(out)
 
 
-def pool_max_pairs(cfg: TrainConfig, graph: Graph) -> int:
-    """The pools' pair cap: `cfg.max_pairs`, or 10 per edge of the train graph."""
-    return cfg.max_pairs if cfg.max_pairs is not None else 10 * max(graph.num_edges, 1)
+def pool_arguments(cfg: TrainConfig, graph: Graph) -> tuple[dict, dict]:
+    """Keyword arguments of build_multipath_pool and build_singlepath_pool for cfg.
+
+    The pair cap is `cfg.max_pairs`, or 10 per edge of the train graph.
+    """
+    max_pairs = cfg.max_pairs if cfg.max_pairs is not None else 10 * max(graph.num_edges, 1)
+    single = {"max_len": cfg.max_len, "max_pairs": max_pairs, "seed": cfg.seed}
+    return {**single, "max_paths": cfg.max_paths, "path_budget": cfg.path_budget}, single
 
 
 @dataclass
@@ -606,18 +615,11 @@ def train(
     """
     cfg.validate()
     start = time.time()
-    max_pairs = pool_max_pairs(cfg, graph)
+    multi_args, single_args = pool_arguments(cfg, graph)
     if multi_pool is None:
-        multi_pool = build_multipath_pool(
-            graph, cfg.max_len, cfg.max_paths, max_pairs, cfg.seed,
-            min_hops=cfg.multi_min_hops, exhaustive_limit=cfg.exhaustive_limit,
-            path_budget=cfg.path_budget,
-        )
+        multi_pool = build_multipath_pool(graph, **multi_args)
     if single_pool is None:
-        single_pool = build_singlepath_pool(
-            graph, cfg.max_len, max_pairs, cfg.seed,
-            min_hops=cfg.single_min_hops, exhaustive_limit=cfg.exhaustive_limit,
-        )
+        single_pool = build_singlepath_pool(graph, **single_args)
     cm = compile_multipath(multi_pool) if multi_pool else None
     cs = compile_singlepath(single_pool, graph) if single_pool.entries else None
 
@@ -766,6 +768,7 @@ def save_checkpoint(state: ModelState, cfg: TrainConfig, path: str | FilePath) -
 
 
 def load_checkpoint(path: str | FilePath) -> tuple[ModelState, TrainConfig]:
+    """The state and config a checkpoint holds; ConfigError if they do not fit."""
     with np.load(path) as data:
         version = int(data["version"])
         if version != CHECKPOINT_VERSION:
@@ -781,6 +784,13 @@ def load_checkpoint(path: str | FilePath) -> tuple[ModelState, TrainConfig]:
             adam_v={n[len("adam_v_"):]: data[n] for n in data.files if n.startswith("adam_v_")},
             step=int(data["step"]),
         )
+    try:
+        validate_params(cfg.backend, cfg.embedding_dim, metric)
+    except ShapeError as exc:
+        raise ConfigError(f"checkpoint {path}: {exc}") from None
+    if state.embeddings.values.shape[1] != cfg.embedding_dim:
+        raise ConfigError(f"checkpoint {path}: phi has {state.embeddings.values.shape[1]} "
+                          f"columns, its config embedding_dim={cfg.embedding_dim}")
     return state, cfg
 
 

@@ -3,9 +3,11 @@
 import json
 import time
 
+import numpy as np
 import pytest
 import yaml
 
+import pathembed.cli
 from pathembed.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
 from pathembed.config import RunConfig, from_mapping, load_config, save_config
 from pathembed.training import ConfigError
@@ -197,6 +199,22 @@ class TestEval:
         assert code == EXIT_CONFIG
         assert "mismatch" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("breakage,message", [
+        (lambda arrays: arrays.pop("param_enc1_w"), "'enc1'"),
+        (lambda arrays: arrays.update(phi=arrays["phi"][:, :4]), "phi has 4 columns"),
+        (lambda arrays: arrays.update(version=np.asarray(1)), "version 1"),
+    ], ids=["missing-group", "narrow-phi", "version-1"])
+    def test_malformed_or_old_checkpoint_exits_2(self, toy_run, tmp_path, capsys,
+                                                  breakage, message):
+        with np.load(toy_run / "checkpoint.npz") as data:
+            arrays = {name: data[name] for name in data.files}
+        breakage(arrays)
+        broken = tmp_path / "broken.npz"
+        np.savez(broken, **arrays)
+        code = main(["eval", "--checkpoint", str(broken), "--split", str(toy_run / "split")])
+        assert code == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+
     def test_checkpoint_split_mismatch_exits_2(self, toy_run, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.yaml"
         cfg = toy_config()
@@ -306,3 +324,18 @@ class TestSweep:
         out.write_text("param,value,trial,auc,ap,micro_f1\n"
                        "embedding_dim,4,0,0.5,0.5,nan\n")
         assert main(["sweep", "--config", str(cfg_path), "--out", str(out)]) == EXIT_CONFIG
+
+    def test_changed_grid_with_existing_file_exits_2_before_training(self, tmp_path,
+                                                                     monkeypatch, capsys):
+        cfg_path = tmp_path / "cfg.yaml"
+        write_yaml(cfg_path, sweep_config([4, 8], trials=1))
+        out = tmp_path / "grid.csv"
+        out.write_text("param,value,trial,auc,ap,micro_f1\n"
+                       "embedding_dim,2,0,0.5,0.5,nan\n")
+        before = out.read_bytes()
+        calls = []
+        monkeypatch.setattr(pathembed.cli, "sweep", lambda *a, **k: calls.append(a) or ([], []))
+        assert main(["sweep", "--config", str(cfg_path), "--out", str(out)]) == EXIT_CONFIG
+        assert "embedding_dim=2" in capsys.readouterr().err
+        assert calls == []
+        assert out.read_bytes() == before

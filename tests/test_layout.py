@@ -1,9 +1,13 @@
-"""Layout rules: the oracle stands apart from the package, and the public surface is explicit."""
+"""Layout rules: the oracle stands apart from the package, the public surface is
+explicit, and the README documents every training setting."""
 
 import ast
+import re
+from dataclasses import fields
 from pathlib import Path
 
 import pathembed
+from pathembed.training import TrainConfig
 
 TESTS = Path(__file__).parent
 PACKAGE = Path(pathembed.__file__).parent
@@ -74,3 +78,12 @@ def test_public_surface_is_explicit():
     assert pathembed.__all__ == PUBLIC
     for name in PUBLIC:
         assert hasattr(pathembed, name), name
+
+
+def test_readme_train_block_names_every_train_config_field():
+    readme = (TESTS.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Configuration", 1)[1]
+    block = re.search(r"^train:\n((?:  .*\n)+)", section, re.MULTILINE)
+    assert block, "README's configuration section has no train: block"
+    documented = re.findall(r"^  (\w+):", block.group(1), re.MULTILINE)
+    assert sorted(documented) == sorted(f.name for f in fields(TrainConfig))

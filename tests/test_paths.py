@@ -248,11 +248,6 @@ class TestSinglePathPool:
                 assert path.nodes == full_by_pair[pair].nodes
                 assert len(enumerate_simple_paths(g, pair[0], pair[1], 4, max_paths=2)) == 1
 
-    def test_min_hops_filters_adjacent_entries(self):
-        g = Graph(4, np.array([[0, 1], [1, 2], [2, 3]]))
-        pool = build_singlepath_pool(g, max_len=3, max_pairs=100, seed=0, min_hops=2)
-        assert all(p.num_edges >= 2 for _, p in pool.entries)
-
     def test_pools_disjoint_over_pairs(self):
         rng = np.random.default_rng(17)
         for _ in range(20):

@@ -23,7 +23,7 @@ from pathembed.training import (
     init_state,
     load_checkpoint,
     make_step_batch,
-    pool_max_pairs,
+    pool_arguments,
     save_checkpoint,
     save_history,
     train,
@@ -86,6 +86,7 @@ def test_config_defaults_are_valid():
         ("mc_samples", 0),
         ("patience", 0),
         ("max_pairs", 0),
+        ("path_budget", 0),
         ("grad_clip", 0.0),
     ],
 )
@@ -106,11 +107,15 @@ def test_config_rejects_unknown_keys():
         TrainConfig.from_dict({"learning_rte": 0.1})
 
 
-def test_pool_max_pairs_defaults_to_ten_per_edge():
+def test_pool_arguments_default_to_ten_pairs_per_edge():
     g = Graph(7, CYCLE_WITH_TAIL)
-    assert pool_max_pairs(small_cfg(max_pairs=None), g) == 10 * g.num_edges
-    assert pool_max_pairs(small_cfg(max_pairs=None), Graph(3, np.empty((0, 2)))) == 10
-    assert pool_max_pairs(small_cfg(max_pairs=7), g) == 7
+    multi, single = pool_arguments(small_cfg(max_pairs=None, path_budget=9), g)
+    assert multi == {"max_len": 4, "max_paths": 4, "max_pairs": 10 * g.num_edges,
+                     "seed": 3, "path_budget": 9}
+    assert single == {"max_len": 4, "max_pairs": 10 * g.num_edges, "seed": 3}
+    for cfg, graph, cap in ((small_cfg(max_pairs=None), Graph(3, np.empty((0, 2))), 10),
+                            (small_cfg(max_pairs=7), g, 7)):
+        assert [args["max_pairs"] for args in pool_arguments(cfg, graph)] == [cap, cap]
 
 
 # -- initialization --------------------------------------------------------------
