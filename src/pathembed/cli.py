@@ -33,7 +33,6 @@ from pathembed.evaluation import (
     evaluate_split,
     read_sweep_rows,
     sweep,
-    write_sweep_csv,
 )
 from pathembed.graph import (
     GraphError,
@@ -305,13 +304,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     out_path.parent.mkdir(parents=True, exist_ok=True)
 
     param, values, trials = cfg.sweep["param"], cfg.sweep["values"], cfg.sweep["trials"]
+    # a file from another grid is refused before the dataset loads
     old_rows = read_sweep_rows(out_path, param, values, trials) if out_path.exists() else []
     dataset = resolve_dataset(cfg.dataset)
-    completed = {(row["value"], row["trial"]) for row in old_rows}
-    if completed:
-        print(f"resuming: {len(completed)} grid points already on disk")
+    if old_rows:
+        print(f"resuming: {len(old_rows)} grid points already on disk")
 
-    new_rows, errors = sweep(
+    rows, errors = sweep(
         dataset.graph,
         cfg.train,
         param,
@@ -320,14 +319,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         labels=dataset.labels,
         val_fraction=cfg.split["val_fraction"],
         test_fraction=cfg.split["test_fraction"],
-        completed=completed,
+        out=out_path,
     )
-
-    value_order = {str(v): i for i, v in enumerate(values)}
-    merged = old_rows + new_rows
-    merged.sort(key=lambda r: (value_order[str(r["value"])], r["trial"]))
-    write_sweep_csv(merged, out_path)
-    print(f"sweep complete: {len(merged)} rows -> {out_path}")
+    print(f"sweep complete: {len(rows)} rows -> {out_path}")
     if errors:
         _write_json(out_path.with_suffix(".errors.json"), {"errors": errors})
         print(f"  {len(errors)} grid points failed (see .errors.json)")

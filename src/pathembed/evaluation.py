@@ -11,6 +11,7 @@ scores.
 from __future__ import annotations
 
 import logging
+import os
 from dataclasses import dataclass, replace
 from pathlib import Path as FilePath
 
@@ -296,7 +297,7 @@ def sweep(
     val_fraction: float = 0.05,
     test_fraction: float = 0.10,
     classify_fraction: float = 0.1,
-    completed: set[tuple[str, int]] | None = None,
+    out: str | FilePath | None = None,
 ) -> tuple[list[dict], list[dict]]:
     """Train and evaluate a grid of settings, several trials per value.
 
@@ -304,41 +305,53 @@ def sweep(
     varies the edge split instead: test takes what train gives up, with a
     fixed validation slice). Returns (rows, errors), both in grid order;
     a failing grid point is recorded in `errors` and the sweep continues.
-    Grid points whose `(str(value), trial)` key appears in `completed` are
-    skipped, which lets callers resume an interrupted sweep from rows
-    already on disk (see `read_sweep_rows`).
+    With `out`, the grid points whose rows that CSV already holds (see
+    `read_sweep_rows`) are skipped and their rows returned as they are,
+    and the file is rewritten in grid order after every point run, so an
+    interrupted sweep resumes where it stopped.
     """
     if not values:
         raise ValueError("sweep needs a non-empty value grid")
     points = [(v, t) for v in values for t in range(trials)]
-    if completed:
-        points = [(v, t) for v, t in points if (str(v), t) not in completed]
+    keys = [(str(v), t) for v, t in points]
+    done = {}
+    if out is not None and FilePath(out).exists():
+        done = {(r["value"], r["trial"]): r for r in read_sweep_rows(out, param, values, trials)}
 
-    rows, errors = [], []
-    for value, trial in points:
+    errors = []
+    for (value, trial), key in zip(points, keys):
+        if key in done:
+            continue
         try:
-            rows.append(_sweep_point(graph, base_cfg, param, value, trial, labels,
-                                     val_fraction, test_fraction, classify_fraction))
+            done[key] = _sweep_point(
+                graph, base_cfg, param, value, trial, labels, val_fraction,
+                test_fraction, classify_fraction)
         except Exception as exc:  # noqa: BLE001 - per-point isolation
             logger.warning("sweep point %s failed: %s", (value, trial), exc)
             errors.append({"param": param, "value": value, "trial": trial, "error": str(exc)})
-    return rows, errors
+        if out is not None:
+            write_sweep_csv([done[k] for k in keys if k in done], out)
+    return [done[k] for k in keys if k in done], errors
 
 
 def write_sweep_csv(rows: list[dict], path: str | FilePath) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    """Write through a temp file, so that an interrupted write leaves the old file."""
+    tmp = f"{path}.tmp"
+    with open(tmp, "w", encoding="utf-8") as fh:
         fh.write(",".join(SWEEP_COLUMNS) + "\n")
         for row in rows:
             fh.write(
                 f"{row['param']},{row['value']},{row['trial']},"
                 f"{row['auc']:.10g},{row['ap']:.10g},{row['micro_f1']:.10g}\n"
             )
+    os.replace(tmp, path)
 
 
 def read_sweep_rows(path: str | FilePath, param: str, values, trials: int) -> list[dict]:
     """The rows of an interrupted sweep, for resuming the grid (param, values, trials).
 
-    Raises ConfigError if the file does not hold a part of that grid.
+    Raises ConfigError if a row is malformed or the file does not hold a
+    part of that grid.
     """
     from pathembed.training import ConfigError  # deferred: training imports this module
 
@@ -348,27 +361,26 @@ def read_sweep_rows(path: str | FilePath, param: str, values, trials: int) -> li
         header = fh.readline().strip()
         if header != ",".join(SWEEP_COLUMNS):
             raise ConfigError(f"existing sweep file {path} has unexpected columns {header!r}")
-        for line in fh:
+        for lineno, line in enumerate(fh, 2):
             line = line.strip()
             if not line:
                 continue
-            fields = line.split(",")
-            if fields[0] != param:
+            try:
+                name, value, trial, auc, ap, micro_f1 = line.split(",")
+                row = {"param": name, "value": value, "trial": int(trial), "auc": float(auc),
+                       "ap": float(ap), "micro_f1": float(micro_f1)}
+            except ValueError:
+                raise ConfigError(f"existing sweep file {path}, line {lineno}: "
+                                  f"malformed row {line!r}") from None
+            if name != param:
                 raise ConfigError(
-                    f"existing sweep file {path} holds param {fields[0]!r}, "
+                    f"existing sweep file {path} holds param {name!r}, "
                     f"config asks for {param!r}"
                 )
-            if (fields[1], int(fields[2])) not in grid:
+            if (value, row["trial"]) not in grid:
                 raise ConfigError(
-                    f"existing sweep file {path} holds {param}={fields[1]} trial "
-                    f"{fields[2]}, outside the config's grid; use a new output file"
+                    f"existing sweep file {path} holds {param}={value} trial "
+                    f"{trial}, outside the config's grid; use a new output file"
                 )
-            rows.append({
-                "param": fields[0],
-                "value": fields[1],
-                "trial": int(fields[2]),
-                "auc": float(fields[3]),
-                "ap": float(fields[4]),
-                "micro_f1": float(fields[5]),
-            })
+            rows.append(row)
     return rows

@@ -354,14 +354,23 @@ def _write_pairs(path: FilePath, pairs: np.ndarray) -> None:
             fh.write(f"{int(a)} {int(b)}\n")
 
 
-def _read_pairs(path: FilePath) -> np.ndarray:
+def _read_pairs(path: FilePath, num_nodes: int) -> np.ndarray:
+    """One `a b` pair of node ids in 0..num_nodes-1 per non-blank line."""
     rows = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                a, b = line.split()
-                rows.append((int(a), int(b)))
+        for lineno, line in enumerate(fh, 1):
+            fields = line.split()
+            if not fields:
+                continue
+            try:
+                a, b = (int(f) for f in fields)
+            except ValueError:
+                raise GraphError(f"{path}, line {lineno}: expected two integer node ids, "
+                                 f"got {line.strip()!r}") from None
+            if not (0 <= a < num_nodes and 0 <= b < num_nodes):
+                raise GraphError(f"{path}, line {lineno}: node id outside 0..{num_nodes - 1} "
+                                 f"in {line.strip()!r}")
+            rows.append((a, b))
     return np.array(rows, dtype=np.int64).reshape(-1, 2)
 
 
@@ -392,13 +401,13 @@ def load_split(split_dir: str | FilePath) -> EdgeSplit:
     d = FilePath(split_dir)
     with open(d / "metadata.json", "r", encoding="utf-8") as fh:
         meta = json.load(fh)
-    train_graph = Graph(meta["num_nodes"], _read_pairs(d / "train.txt"))
+    n = meta["num_nodes"]
     return EdgeSplit(
-        train_graph=train_graph,
-        val_pos=_read_pairs(d / "val_pos.txt"),
-        val_neg=_read_pairs(d / "val_neg.txt"),
-        test_pos=_read_pairs(d / "test_pos.txt"),
-        test_neg=_read_pairs(d / "test_neg.txt"),
+        train_graph=Graph(n, _read_pairs(d / "train.txt", n)),
+        val_pos=_read_pairs(d / "val_pos.txt", n),
+        val_neg=_read_pairs(d / "val_neg.txt", n),
+        test_pos=_read_pairs(d / "test_pos.txt", n),
+        test_neg=_read_pairs(d / "test_neg.txt", n),
         seed=int(meta["seed"]),
         val_fraction=float(meta["val_fraction"]),
         test_fraction=float(meta["test_fraction"]),

@@ -1,13 +1,14 @@
 """Objective assembly, exact gradients, Adam, and the training loop.
 
-Pools are compiled once into flat index arrays (edge endpoints, path ids,
-comparison pairs, term incidences). Each optimizer step samples a batch
-of multi-path sets, single-path entries, and (vi backend) train edges for
-the ELBO term, and pairs every train edge with a fresh negative node for
-the edge contrast term. It deduplicates the node pairs that the path and
-ELBO terms touch, and separately those of the contrast term, runs the
-relation backend once over each set of unique pairs, and scatters the
-results into the loss terms through the autodiff engine.
+Pools are compiled once into per-item tables (edge endpoints, path ids,
+comparison pairs, term incidences) whose ids count from 0 within their
+item. Each optimizer step samples a batch of multi-path sets,
+single-path entries, and (vi backend) train edges for the ELBO term, and
+pairs every train edge with a fresh negative node for the edge contrast
+term. It deduplicates the node pairs that the path and ELBO terms touch,
+and separately those of the contrast term, runs the relation backend
+once over each set of unique pairs, and scatters the results into the
+loss terms through the autodiff engine.
 """
 
 from __future__ import annotations
@@ -112,6 +113,11 @@ class ModelState:
     adam_v: dict[str, np.ndarray] = field(default_factory=dict)
     step: int = 0
 
+    def __post_init__(self):
+        for name, arr in self.trainables().items():
+            self.adam_m.setdefault(name, np.zeros_like(arr))
+            self.adam_v.setdefault(name, np.zeros_like(arr))
+
     def trainables(self) -> dict[str, np.ndarray]:
         out = {"phi": self.embeddings.values}
         out.update(self.metric_params)
@@ -132,129 +138,96 @@ def init_state(cfg: TrainConfig, graph: Graph) -> ModelState:
     phi = rng.uniform(-bound, bound, size=(graph.num_nodes, k))
     params = init_metric_params(cfg.backend, k, rng, hidden=cfg.hidden_dim)
     validate_params(cfg.backend, k, params)
-    state = ModelState(EmbeddingMatrix(phi), params)
-    for name, arr in state.trainables().items():
-        state.adam_m[name] = np.zeros_like(arr)
-        state.adam_v[name] = np.zeros_like(arr)
-    return state
+    return ModelState(EmbeddingMatrix(phi), params)
 
 
 # -- pool compilation ---------------------------------------------------------
 
 
+def _starts(counts: np.ndarray) -> np.ndarray:
+    """Where each run begins when runs of `counts` rows are laid end to end."""
+    return np.cumsum(counts) - counts
+
+
+@dataclass
+class Ragged:
+    """Columns of rows grouped by item: item i owns rows ptr[i]:ptr[i + 1]."""
+
+    ptr: np.ndarray
+    cols: tuple[np.ndarray, ...]
+
+    @classmethod
+    def pack(cls, counts: list[int], *cols: list[int]) -> "Ragged":
+        return cls(np.cumsum([0, *counts], dtype=np.int64),
+                   tuple(np.asarray(c, dtype=np.int64) for c in cols))
+
+    def __len__(self) -> int:
+        return len(self.ptr) - 1
+
+    def take(self, ids: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Each item's row count, then every column's rows, for `ids` in order."""
+        counts = self.ptr[ids + 1] - self.ptr[ids]
+        rows = np.arange(counts.sum()) + np.repeat(self.ptr[ids] - _starts(counts), counts)
+        return (counts, *(c[rows] for c in self.cols))
+
+
 @dataclass
 class CompiledMulti:
-    edge_u: np.ndarray        # flat path edges
-    edge_v: np.ndarray
-    edge_ptr: np.ndarray      # per-path edge ranges, (P + 1,)
-    path_ptr: np.ndarray      # per-set path ranges, (S + 1,)
-    cmp_a: np.ndarray         # unordered path-pair comparisons, global ids
-    cmp_b: np.ndarray
-    cmp_ptr: np.ndarray       # per-set comparison ranges, (S + 1,)
+    """Multi-path sets; path ids count from 0 within each set."""
 
-    @property
-    def num_sets(self) -> int:
-        return len(self.path_ptr) - 1
-
-    @property
-    def num_paths(self) -> int:
-        return len(self.edge_ptr) - 1
+    num_paths: np.ndarray     # paths per set, (S,)
+    edges: Ragged             # (u, v, path) per path edge
+    cmps: Ragged              # (path a, path b), a < b, per unordered path pair
 
 
 @dataclass
 class CompiledSingle:
-    edge_u: np.ndarray        # flat entry-path edges
-    edge_v: np.ndarray
-    edge_ptr: np.ndarray      # per-entry edge ranges
-    term_i: np.ndarray        # non-adjacent pair endpoints, path order
-    term_j: np.ndarray
-    term_ptr: np.ndarray      # per-entry term ranges
-    inc_term: np.ndarray      # incidence: term id (global) per (term, edge)
-    inc_edge: np.ndarray      # incidence: edge slot (global) per (term, edge)
-    inc_ptr: np.ndarray       # per-entry incidence ranges
+    """Single-path entries; edge and term ids count from 0 within each entry."""
 
-    @property
-    def num_entries(self) -> int:
-        return len(self.edge_ptr) - 1
-
-    @property
-    def num_terms(self) -> int:
-        return len(self.term_i)
+    edges: Ragged             # (u, v) per path edge
+    terms: Ragged             # (i, j) per non-adjacent node pair, in path order
+    incs: Ragged              # (term, edge) per edge inside a term's span
 
 
 def compile_multipath(pool: list[MultiPathSet]) -> CompiledMulti:
-    edge_u, edge_v = [], []
-    edge_ptr = [0]
-    path_ptr = [0]
-    cmp_a, cmp_b = [], []
-    cmp_ptr = [0]
-    path_id = 0
-    for s in pool:
-        first = path_id
-        for p in s.paths:
-            nodes = p.nodes
-            edge_u.extend(nodes[:-1])
-            edge_v.extend(nodes[1:])
-            edge_ptr.append(len(edge_u))
-            path_id += 1
-        for a in range(first, path_id):
-            for b in range(a + 1, path_id):
-                cmp_a.append(a)
-                cmp_b.append(b)
-        path_ptr.append(path_id)
-        cmp_ptr.append(len(cmp_a))
-    ai = np.asarray
-    return CompiledMulti(
-        ai(edge_u, dtype=np.int64), ai(edge_v, dtype=np.int64),
-        ai(edge_ptr, dtype=np.int64), ai(path_ptr, dtype=np.int64),
-        ai(cmp_a, dtype=np.int64), ai(cmp_b, dtype=np.int64),
-        ai(cmp_ptr, dtype=np.int64),
-    )
+    num_paths = [len(s.paths) for s in pool]
+    u, v, path, a, b, edge_counts = [], [], [], [], [], []
+    for s, n in zip(pool, num_paths):
+        first = len(u)
+        for k, p in enumerate(s.paths):
+            u.extend(p.nodes[:-1])
+            v.extend(p.nodes[1:])
+            path.extend([k] * (len(p.nodes) - 1))
+            a.extend([k] * (n - 1 - k))
+            b.extend(range(k + 1, n))
+        edge_counts.append(len(u) - first)
+    return CompiledMulti(np.asarray(num_paths, dtype=np.int64),
+                         Ragged.pack(edge_counts, u, v, path),
+                         Ragged.pack([n * (n - 1) // 2 for n in num_paths], a, b))
 
 
 def compile_singlepath(pool: SinglePathSet, graph: Graph) -> CompiledSingle:
-    edge_u, edge_v = [], []
-    edge_ptr = [0]
-    term_i, term_j = [], []
-    term_ptr = [0]
-    inc_term, inc_edge = [], []
-    inc_ptr = [0]
+    u, v, term_i, term_j, inc_term, inc_edge = [], [], [], [], [], []
+    edge_counts, term_counts, inc_counts = [], [], []
     for _, path in pool.entries:
         nodes = path.nodes
-        base = len(edge_u)
-        edge_u.extend(nodes[:-1])
-        edge_v.extend(nodes[1:])
-        edge_ptr.append(len(edge_u))
+        first_term, first_inc = len(term_i), len(inc_term)
+        u.extend(nodes[:-1])
+        v.extend(nodes[1:])
         for a in range(len(nodes)):
             for b in range(a + 1, len(nodes)):
                 if graph.has_edge(int(nodes[a]), int(nodes[b])):
                     continue
-                t = len(term_i)
+                inc_term.extend([len(term_i) - first_term] * (b - a))
+                inc_edge.extend(range(a, b))
                 term_i.append(nodes[a])
                 term_j.append(nodes[b])
-                inc_term.extend([t] * (b - a))
-                inc_edge.extend(range(base + a, base + b))
-        term_ptr.append(len(term_i))
-        inc_ptr.append(len(inc_term))
-    ai = np.asarray
-    return CompiledSingle(
-        ai(edge_u, dtype=np.int64), ai(edge_v, dtype=np.int64),
-        ai(edge_ptr, dtype=np.int64),
-        ai(term_i, dtype=np.int64), ai(term_j, dtype=np.int64),
-        ai(term_ptr, dtype=np.int64),
-        ai(inc_term, dtype=np.int64), ai(inc_edge, dtype=np.int64),
-        ai(inc_ptr, dtype=np.int64),
-    )
-
-
-def _ragged_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """concatenate(arange(s, s + c) for s, c in zip(starts, counts))."""
-    total = int(counts.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64)
-    rep = np.repeat(starts, counts)
-    base = np.concatenate([[0], np.cumsum(counts)[:-1]])
-    return rep + (np.arange(total, dtype=np.int64) - np.repeat(base, counts))
+        edge_counts.append(len(nodes) - 1)
+        term_counts.append(len(term_i) - first_term)
+        inc_counts.append(len(inc_term) - first_inc)
+    return CompiledSingle(Ragged.pack(edge_counts, u, v),
+                          Ragged.pack(term_counts, term_i, term_j),
+                          Ragged.pack(inc_counts, inc_term, inc_edge))
 
 
 @dataclass
@@ -303,8 +276,8 @@ def _unique_pairs(u: np.ndarray, v: np.ndarray, symmetric: bool):
 
 
 def make_step_batch(
-    cm: CompiledMulti | None,
-    cs: CompiledSingle | None,
+    cm: CompiledMulti,
+    cs: CompiledSingle,
     set_ids: np.ndarray,
     entry_ids: np.ndarray,
     elbo_pairs: np.ndarray,
@@ -320,53 +293,17 @@ def make_step_batch(
     r(u, v) = r(v, u), as 2n's distance) each pair is stored as
     (min, max), so both directions share one row.
     """
+    # Item-local path, edge and term ids shift by where their item's run
+    # starts in the batch, so a batch may draw the same set or entry twice.
+    pc = cm.num_paths[set_ids]
+    path_start = _starts(pc)
+    m_ec, m_u, m_v, m_path = cm.edges.take(set_ids)
+    m_cc, m_cmp_a, m_cmp_b = cm.cmps.take(set_ids)
+    s_ec, s_u, s_v = cs.edges.take(entry_ids)
+    tc, t_i, t_j = cs.terms.take(entry_ids)
+    ic, s_inc_term, s_inc_edge = cs.incs.take(entry_ids)
+
     empty = np.empty(0, dtype=np.int64)
-
-    def _exclusive_cumsum(counts: np.ndarray) -> np.ndarray:
-        return np.concatenate([[0], np.cumsum(counts)[:-1]]).astype(np.int64)
-
-    # Renumbering is positional (offset within the owning set/entry plus the
-    # occurrence's local base), so a batch may legitimately draw the same
-    # set or entry twice; scatter-based maps would misroute duplicates.
-    if cm is not None and set_ids.size:
-        pc = cm.path_ptr[set_ids + 1] - cm.path_ptr[set_ids]
-        sel_paths = _ragged_ranges(cm.path_ptr[set_ids], pc)
-        ec = cm.edge_ptr[sel_paths + 1] - cm.edge_ptr[sel_paths]
-        sel_edges = _ragged_ranges(cm.edge_ptr[sel_paths], ec)
-        m_u, m_v = cm.edge_u[sel_edges], cm.edge_v[sel_edges]
-        m_edge_path = np.repeat(np.arange(sel_paths.size, dtype=np.int64), ec)
-        path_base = _exclusive_cumsum(pc)
-        cc = cm.cmp_ptr[set_ids + 1] - cm.cmp_ptr[set_ids]
-        sel_cmp = _ragged_ranges(cm.cmp_ptr[set_ids], cc)
-        local_start = np.repeat(cm.path_ptr[set_ids], cc)
-        local_base = np.repeat(path_base, cc)
-        m_cmp_a = cm.cmp_a[sel_cmp] - local_start + local_base
-        m_cmp_b = cm.cmp_b[sel_cmp] - local_start + local_base
-        m_num_paths, m_num_sets = int(sel_paths.size), int(set_ids.size)
-    else:
-        m_u = m_v = m_edge_path = m_cmp_a = m_cmp_b = empty
-        m_num_paths = m_num_sets = 0
-
-    if cs is not None and entry_ids.size:
-        ec = cs.edge_ptr[entry_ids + 1] - cs.edge_ptr[entry_ids]
-        sel_edges = _ragged_ranges(cs.edge_ptr[entry_ids], ec)
-        s_u, s_v = cs.edge_u[sel_edges], cs.edge_v[sel_edges]
-        tc = cs.term_ptr[entry_ids + 1] - cs.term_ptr[entry_ids]
-        sel_terms = _ragged_ranges(cs.term_ptr[entry_ids], tc)
-        ic = cs.inc_ptr[entry_ids + 1] - cs.inc_ptr[entry_ids]
-        sel_inc = _ragged_ranges(cs.inc_ptr[entry_ids], ic)
-        term_base = _exclusive_cumsum(tc)
-        edge_base = _exclusive_cumsum(ec)
-        s_inc_term = (cs.inc_term[sel_inc] - np.repeat(cs.term_ptr[entry_ids], ic)
-                      + np.repeat(term_base, ic))
-        s_inc_edge = (cs.inc_edge[sel_inc] - np.repeat(cs.edge_ptr[entry_ids], ic)
-                      + np.repeat(edge_base, ic))
-        t_i, t_j = cs.term_i[sel_terms], cs.term_j[sel_terms]
-        s_num_terms = int(sel_terms.size)
-    else:
-        s_u = s_v = s_inc_term = s_inc_edge = t_i = t_j = empty
-        s_num_terms = 0
-
     e_u = elbo_pairs[:, 0] if elbo_pairs.size else empty
     e_v = elbo_pairs[:, 1] if elbo_pairs.size else empty
 
@@ -385,16 +322,16 @@ def make_step_batch(
         unique_u=unique_u,
         unique_v=unique_v,
         m_rel=inverse[: ofs[0]],
-        m_edge_path=m_edge_path,
-        m_num_paths=m_num_paths,
-        m_cmp_a=m_cmp_a,
-        m_cmp_b=m_cmp_b,
-        m_num_sets=m_num_sets,
+        m_edge_path=m_path + np.repeat(path_start, m_ec),
+        m_num_paths=int(pc.sum()),
+        m_cmp_a=m_cmp_a + np.repeat(path_start, m_cc),
+        m_cmp_b=m_cmp_b + np.repeat(path_start, m_cc),
+        m_num_sets=int(set_ids.size),
         s_rel=inverse[ofs[0]: ofs[1]],
-        s_inc_term=s_inc_term,
-        s_inc_edge=s_inc_edge,
+        s_inc_term=s_inc_term + np.repeat(_starts(tc), ic),
+        s_inc_edge=s_inc_edge + np.repeat(_starts(s_ec), ic),
         t_rel=inverse[ofs[1]: ofs[2]],
-        s_num_terms=s_num_terms,
+        s_num_terms=int(tc.sum()),
         e_rel=inverse[ofs[2]: ofs[3]],
         e_u=e_u,
         e_v=e_v,
@@ -559,15 +496,12 @@ class _Cycler:
     def __init__(self, n: int, rng: np.random.Generator):
         self.n = int(n)
         self.rng = rng
-        self.queue = rng.permutation(self.n) if self.n else np.empty(0, dtype=np.int64)
+        self.queue = rng.permutation(self.n)  # draws nothing when n is 0
         self.pos = 0
 
     def take(self, b: int) -> np.ndarray:
-        if self.n == 0:
-            return np.empty(0, dtype=np.int64)
-        b = min(b, self.n)
-        out = []
-        need = b
+        out = [self.queue[:0]]
+        need = min(b, self.n)
         while need > 0:
             chunk = self.queue[self.pos: self.pos + need]
             out.append(chunk)
@@ -620,8 +554,8 @@ def train(
         multi_pool = build_multipath_pool(graph, **multi_args)
     if single_pool is None:
         single_pool = build_singlepath_pool(graph, **single_args)
-    cm = compile_multipath(multi_pool) if multi_pool else None
-    cs = compile_singlepath(single_pool, graph) if single_pool.entries else None
+    cm = compile_multipath(multi_pool)
+    cs = compile_singlepath(single_pool, graph)
 
     if state is None:
         state = init_state(cfg, graph)
@@ -629,8 +563,7 @@ def train(
     noise_rng = np.random.default_rng(np.random.SeedSequence([int(cfg.seed), 0x40153]))
     contrast_rng = np.random.default_rng(np.random.SeedSequence([int(cfg.seed), 0xC0E7A]))
 
-    n_sets = cm.num_sets if cm is not None else 0
-    n_entries = cs.num_entries if cs is not None else 0
+    n_sets, n_entries = len(cm.edges), len(cs.edges)
     metric = BACKENDS[cfg.backend]
     use_elbo = metric.elbo is not None and graph.num_edges > 0
     use_contrast = cfg.balance < 1.0 and graph.num_edges > 0
@@ -711,11 +644,10 @@ def train(
     if best_snapshot is not None:
         _restore(state, best_snapshot)
 
-    n_terms = cs.num_terms if cs is not None else 0
     metadata = {
         "pool_multi_sets": n_sets,
         "pool_single_entries": n_entries,
-        "pool_single_terms": n_terms,
+        "pool_single_terms": int(cs.terms.ptr[-1]),
         "steps_per_epoch": steps_per_epoch,
         "epochs_run": epochs_run,
         "stopped_early": stopped_early,
@@ -725,46 +657,36 @@ def train(
     return TrainResult(state=state, history=history, metadata=metadata)
 
 
-def _snapshot(state: ModelState) -> dict:
-    return {
-        "phi": state.embeddings.values.copy(),
-        "metric": {n: a.copy() for n, a in state.metric_params.items()},
-        "adam_m": {n: a.copy() for n, a in state.adam_m.items()},
-        "adam_v": {n: a.copy() for n, a in state.adam_v.items()},
-        "step": state.step,
-    }
+def _arrays(state: ModelState) -> dict[str, np.ndarray]:
+    """The state's live arrays under their checkpoint names."""
+    out = {"phi": state.embeddings.values}
+    for prefix, group in (("param_", state.metric_params), ("adam_m_", state.adam_m),
+                          ("adam_v_", state.adam_v)):
+        out.update({prefix + n: a for n, a in group.items()})
+    return out
 
 
-def _restore(state: ModelState, snap: dict) -> None:
-    state.embeddings.values[...] = snap["phi"]
-    for n in state.metric_params:
-        state.metric_params[n][...] = snap["metric"][n]
-        state.adam_m[n][...] = snap["adam_m"][n]
-        state.adam_v[n][...] = snap["adam_v"][n]
-    state.adam_m["phi"][...] = snap["adam_m"]["phi"]
-    state.adam_v["phi"][...] = snap["adam_v"]["phi"]
-    state.step = snap["step"]
+def _snapshot(state: ModelState) -> tuple[int, dict]:
+    return state.step, {k: a.copy() for k, a in _arrays(state).items()}
+
+
+def _restore(state: ModelState, snap: tuple[int, dict]) -> None:
+    state.step, arrays = snap
+    for k, a in _arrays(state).items():
+        a[...] = arrays[k]
 
 
 # -- persistence ---------------------------------------------------------------
 
 
 def save_checkpoint(state: ModelState, cfg: TrainConfig, path: str | FilePath) -> None:
-    arrays = {
-        "phi": state.embeddings.values,
-        "step": np.asarray(state.step, dtype=np.int64),
-        "version": np.asarray(CHECKPOINT_VERSION, dtype=np.int64),
-        "config_json": np.frombuffer(
-            json.dumps(cfg.to_dict(), sort_keys=True).encode(), dtype=np.uint8
-        ),
-    }
-    for n, a in state.metric_params.items():
-        arrays[f"param_{n}"] = a
-    for n, a in state.adam_m.items():
-        arrays[f"adam_m_{n}"] = a
-    for n, a in state.adam_v.items():
-        arrays[f"adam_v_{n}"] = a
-    np.savez_compressed(path, **arrays)
+    np.savez_compressed(
+        path, **_arrays(state),
+        step=np.asarray(state.step, dtype=np.int64),
+        version=np.asarray(CHECKPOINT_VERSION, dtype=np.int64),
+        config_json=np.frombuffer(json.dumps(cfg.to_dict(), sort_keys=True).encode(),
+                                  dtype=np.uint8),
+    )
 
 
 def load_checkpoint(path: str | FilePath) -> tuple[ModelState, TrainConfig]:
@@ -774,23 +696,21 @@ def load_checkpoint(path: str | FilePath) -> tuple[ModelState, TrainConfig]:
         if version != CHECKPOINT_VERSION:
             raise ConfigError(f"unsupported checkpoint version {version}")
         cfg = TrainConfig.from_dict(json.loads(bytes(data["config_json"]).decode()))
-        metric = {
-            n[len("param_"):]: data[n] for n in data.files if n.startswith("param_")
-        }
-        state = ModelState(
-            embeddings=EmbeddingMatrix(data["phi"]),
-            metric_params=metric,
-            adam_m={n[len("adam_m_"):]: data[n] for n in data.files if n.startswith("adam_m_")},
-            adam_v={n[len("adam_v_"):]: data[n] for n in data.files if n.startswith("adam_v_")},
-            step=int(data["step"]),
-        )
-    try:
-        validate_params(cfg.backend, cfg.embedding_dim, metric)
-    except ShapeError as exc:
-        raise ConfigError(f"checkpoint {path}: {exc}") from None
-    if state.embeddings.values.shape[1] != cfg.embedding_dim:
-        raise ConfigError(f"checkpoint {path}: phi has {state.embeddings.values.shape[1]} "
-                          f"columns, its config embedding_dim={cfg.embedding_dim}")
+        phi = EmbeddingMatrix(data["phi"])
+        metric = {n[len("param_"):]: data[n] for n in data.files if n.startswith("param_")}
+        try:
+            validate_params(cfg.backend, cfg.embedding_dim, metric)
+        except ShapeError as exc:
+            raise ConfigError(f"checkpoint {path}: {exc}") from None
+        if phi.values.shape[1] != cfg.embedding_dim:
+            raise ConfigError(f"checkpoint {path}: phi has {phi.values.shape[1]} "
+                              f"columns, its config embedding_dim={cfg.embedding_dim}")
+        state = ModelState(phi, metric, step=int(data["step"]))
+        missing = sorted(set(_arrays(state)) - set(data.files))
+        if missing:
+            raise ConfigError(f"checkpoint {path}: missing {missing}")
+        for k, a in _arrays(state).items():
+            a[...] = data[k]
     return state, cfg
 
 

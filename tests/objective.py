@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from pathembed.paths import SinglePathSet
 from pathembed.relations import BACKENDS
 from pathembed.training import (
     _tensors,
@@ -14,8 +15,8 @@ from pathembed.training import (
 )
 
 
-def full_objective(state, cfg, graph=None, multi_pool=(), single_pool=None, noise=None,
-                   contrast=None):
+def full_objective(state, cfg, graph=None, multi_pool=(), single_pool=SinglePathSet(()),
+                   noise=None, contrast=None):
     """(parts, grads): the step objective with every pool item in one batch.
 
     `parts` holds the loss and its terms as `build_objective` reports them,
@@ -24,16 +25,11 @@ def full_objective(state, cfg, graph=None, multi_pool=(), single_pool=None, nois
     `noise` of shape (L, E, K) is given; the edge contrast term runs on the
     `contrast` triplets when they are given.
     """
-    cm = compile_multipath(multi_pool) if multi_pool else None
-    cs = None
-    if single_pool is not None and single_pool.entries:
-        cs = compile_singlepath(single_pool, graph)
-    empty = np.empty(0, dtype=np.int64)
-    set_ids = np.arange(cm.num_sets, dtype=np.int64) if cm is not None else empty
-    entry_ids = np.arange(cs.num_entries, dtype=np.int64) if cs is not None else empty
+    cm = compile_multipath(multi_pool)
+    cs = compile_singlepath(single_pool, graph)
     elbo_pairs = graph.edges if noise is not None else np.empty((0, 2), dtype=np.int64)
-    sb = make_step_batch(cm, cs, set_ids, entry_ids, elbo_pairs, noise, contrast,
-                         symmetric=BACKENDS[cfg.backend].symmetric)
+    sb = make_step_batch(cm, cs, np.arange(len(cm.edges)), np.arange(len(cs.edges)),
+                         elbo_pairs, noise, contrast, symmetric=BACKENDS[cfg.backend].symmetric)
     phi_t, params_t = _tensors(state)
     total, parts = build_objective(phi_t, params_t, sb, cfg)
     if total.requires_grad:

@@ -8,6 +8,7 @@ import pytest
 import yaml
 
 import pathembed.cli
+import pathembed.training
 from pathembed.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
 from pathembed.config import RunConfig, from_mapping, load_config, save_config
 from pathembed.training import ConfigError
@@ -203,7 +204,8 @@ class TestEval:
         (lambda arrays: arrays.pop("param_enc1_w"), "'enc1'"),
         (lambda arrays: arrays.update(phi=arrays["phi"][:, :4]), "phi has 4 columns"),
         (lambda arrays: arrays.update(version=np.asarray(1)), "version 1"),
-    ], ids=["missing-group", "narrow-phi", "version-1"])
+        (lambda arrays: arrays.pop("adam_v_phi"), "missing ['adam_v_phi']"),
+    ], ids=["missing-group", "narrow-phi", "version-1", "missing-moment"])
     def test_malformed_or_old_checkpoint_exits_2(self, toy_run, tmp_path, capsys,
                                                   breakage, message):
         with np.load(toy_run / "checkpoint.npz") as data:
@@ -214,6 +216,23 @@ class TestEval:
         code = main(["eval", "--checkpoint", str(broken), "--split", str(toy_run / "split")])
         assert code == EXIT_CONFIG
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name,line,message", [
+        ("test_pos.txt", "0 99", "node id outside"),
+        ("test_neg.txt", "0 -3", "node id outside"),
+        ("test_pos.txt", "0 1 2", "two integer node ids"),
+    ], ids=["id-past-the-end", "negative-id", "three-fields"])
+    def test_malformed_split_file_exits_2(self, toy_run, tmp_path, capsys, name, line, message):
+        split = toy_run / "split"
+        path = split / name
+        lines = path.read_text().splitlines() + [line]
+        path.write_text("\n".join(lines) + "\n")
+        code = main(["eval", "--checkpoint", str(toy_run / "checkpoint.npz"),
+                     "--split", str(split)])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"{name}, line {len(lines)}" in err
+        assert message in err
 
     def test_checkpoint_split_mismatch_exits_2(self, toy_run, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.yaml"
@@ -308,6 +327,41 @@ class TestSweep:
         out.write_text("\n".join(lines[:2]) + "\n")  # keep header + first row
         assert main(["sweep", "--config", str(cfg_path), "--out", str(out)]) == EXIT_OK
         assert out.read_bytes() == reference
+
+    def test_interrupted_sweep_keeps_finished_rows(self, tmp_path, monkeypatch):
+        cfg_path = tmp_path / "cfg.yaml"
+        write_yaml(cfg_path, sweep_config([2, 4], trials=1))
+        out = tmp_path / "grid.csv"
+        real_train = pathembed.training.train
+        trained = []
+
+        def train(graph, cfg, *args, **kwargs):
+            trained.append(cfg.embedding_dim)
+            if trained == [2, 4]:
+                raise KeyboardInterrupt
+            return real_train(graph, cfg, *args, **kwargs)
+
+        monkeypatch.setattr(pathembed.training, "train", train)
+        with pytest.raises(KeyboardInterrupt):
+            main(["sweep", "--config", str(cfg_path), "--out", str(out)])
+        first = out.read_text().strip().splitlines()[1:]
+        assert [r.split(",")[1] for r in first] == ["2"]
+        trained.clear()
+        assert main(["sweep", "--config", str(cfg_path), "--out", str(out)]) == EXIT_OK
+        assert trained == [4]
+        rows = out.read_text().strip().splitlines()[1:]
+        assert [r.split(",")[1] for r in rows] == ["2", "4"]
+        assert rows[0] == first[0]
+
+    @pytest.mark.parametrize("row", ["embedding_dim,4,0,0.5", "embedding_dim,4,zero,0.5,0.5,nan"],
+                             ids=["truncated", "non-numeric-trial"])
+    def test_malformed_row_in_existing_file_exits_2(self, tmp_path, capsys, row):
+        cfg_path = tmp_path / "cfg.yaml"
+        write_yaml(cfg_path, sweep_config([4], trials=1))
+        out = tmp_path / "grid.csv"
+        out.write_text(f"param,value,trial,auc,ap,micro_f1\n{row}\n")
+        assert main(["sweep", "--config", str(cfg_path), "--out", str(out)]) == EXIT_CONFIG
+        assert "line 2: malformed row" in capsys.readouterr().err
 
     def test_missing_sweep_section_exits_2(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.yaml"

@@ -32,6 +32,9 @@ from pathembed.training import (
 FOUR_CYCLE = np.array([[0, 1], [1, 2], [2, 3], [0, 3]])
 CYCLE_WITH_TAIL = np.array([[0, 1], [1, 2], [2, 3], [0, 3], [3, 4], [4, 5], [5, 6]])
 PATH_FIVE = np.array([[0, 1], [1, 2], [2, 3], [3, 4]])
+CYCLES_WITH_TAILS = np.array([[0, 1], [1, 2], [2, 3], [0, 3], [0, 2], [3, 4], [4, 5], [5, 6],
+                              [6, 7], [7, 8], [8, 5], [6, 9], [9, 10], [10, 11], [9, 11],
+                              [1, 12], [12, 13]])
 
 
 def small_cfg(**overrides) -> TrainConfig:
@@ -151,27 +154,27 @@ def test_compile_multipath_flat_layout():
     g = Graph(4, FOUR_CYCLE)
     pool = build_multipath_pool(g, 3, 4, 50, seed=0)
     cm = compile_multipath(pool)
-    assert cm.num_sets == len(pool)
-    assert cm.num_paths == sum(len(s.paths) for s in pool)
-    # every path has at least one edge, every set at least one comparison
-    assert np.all(np.diff(cm.edge_ptr) >= 1)
-    assert np.all(np.diff(cm.cmp_ptr) >= 1)
-    # comparisons stay within their set's path range
-    for s in range(cm.num_sets):
-        lo, hi = cm.path_ptr[s], cm.path_ptr[s + 1]
-        for c in range(cm.cmp_ptr[s], cm.cmp_ptr[s + 1]):
-            assert lo <= cm.cmp_a[c] < cm.cmp_b[c] < hi
+    assert len(cm.num_paths) == len(cm.edges) == len(cm.cmps) == len(pool)
+    assert cm.num_paths.sum() == sum(len(s.paths) for s in pool)
+    for s, n in enumerate(cm.num_paths):
+        _, _, _, path = cm.edges.take(np.array([s]))
+        count, a, b = cm.cmps.take(np.array([s]))
+        # every path has at least one edge, every set at least one comparison
+        assert np.array_equal(np.unique(path), np.arange(n))
+        assert count[0] >= 1
+        # comparisons name paths of their own set, by local id
+        assert np.all((0 <= a) & (a < b) & (b < n))
 
 
 def test_compile_singlepath_skips_graph_adjacent_terms():
     g = Graph(5, PATH_FIVE)
     pool = build_singlepath_pool(g, 4, 50, seed=0)
     cs = compile_singlepath(pool, g)
-    for t in range(cs.num_terms):
-        i, j = int(cs.term_i[t]), int(cs.term_j[t])
-        assert not g.has_edge(i, j)
+    term_i, term_j = cs.terms.cols
+    for i, j in zip(term_i, term_j):
+        assert not g.has_edge(int(i), int(j))
     # the (0, 4) entry contributes non-adjacent spans (0,2),(0,3),(0,4),(1,3),(1,4),(2,4)
-    pairs = {(int(a), int(b)) for a, b in zip(cs.term_i, cs.term_j)}
+    pairs = {(int(a), int(b)) for a, b in zip(term_i, term_j)}
     for want in [(0, 2), (0, 3), (0, 4), (1, 3), (1, 4), (2, 4)]:
         assert want in pairs
 
@@ -179,14 +182,75 @@ def test_compile_singlepath_skips_graph_adjacent_terms():
 def test_step_batch_dedups_directed_pairs():
     g = Graph(4, FOUR_CYCLE)
     pool = build_multipath_pool(g, 3, 4, 50, seed=0)
-    cm = compile_multipath(pool)
-    sb = make_step_batch(cm, None, np.arange(cm.num_sets), np.empty(0, dtype=np.int64),
+    cm, cs = compile_multipath(pool), compile_singlepath(SinglePathSet(()), g)
+    sb = make_step_batch(cm, cs, np.arange(len(pool)), np.empty(0, dtype=np.int64),
                          np.empty((0, 2), dtype=np.int64), None)
-    total_edges = len(cm.edge_u)
-    assert len(sb.unique_u) < total_edges  # shared edges collapse
+    edge_u, edge_v, _ = cm.edges.cols
+    assert len(sb.unique_u) < len(edge_u)  # shared edges collapse
     # every compiled edge is recoverable through the inverse index
-    assert np.array_equal(sb.unique_u[sb.m_rel], cm.edge_u)
-    assert np.array_equal(sb.unique_v[sb.m_rel], cm.edge_v)
+    assert np.array_equal(sb.unique_u[sb.m_rel], edge_u)
+    assert np.array_equal(sb.unique_v[sb.m_rel], edge_v)
+
+
+def _reference_batch(multi, single, graph, set_ids, entry_ids):
+    """A batch's node pairs and index pairs, built item by item from the pools."""
+    m_pairs, edge_path, cmps, n_paths = [], [], [], 0
+    for s in set_ids:
+        paths = multi[s].paths
+        for k, p in enumerate(paths):
+            for a, b in zip(p.nodes, p.nodes[1:]):
+                m_pairs.append((a, b))
+                edge_path.append(n_paths + k)
+            cmps += [(n_paths + k, n_paths + j) for j in range(k + 1, len(paths))]
+        n_paths += len(paths)
+    s_pairs, terms, incs = [], [], []
+    for e in entry_ids:
+        nodes = single.entries[e][1].nodes
+        first_edge = len(s_pairs)
+        s_pairs += list(zip(nodes, nodes[1:]))
+        for i in range(len(nodes)):
+            for j in range(i + 1, len(nodes)):
+                if not graph.has_edge(nodes[i], nodes[j]):
+                    incs += [(len(terms), first_edge + k) for k in range(i, j)]
+                    terms.append((nodes[i], nodes[j]))
+    return m_pairs, edge_path, cmps, s_pairs, terms, incs
+
+
+def test_step_batch_matches_per_item_reference():
+    rng = np.random.default_rng(11)
+    cases = []
+    for g in (Graph(7, CYCLE_WITH_TAIL), Graph(14, CYCLES_WITH_TAILS)):
+        mp, sp = pools_for(g, small_cfg(max_len=5))
+        assert mp and sp.entries
+        cases += [(g, mp, sp), (g, [], sp), (g, mp, SinglePathSet(())),
+                  (g, [], SinglePathSet(()))]
+    for batch in range(50):
+        g, mp, sp = cases[batch % len(cases)]
+        cm, cs = compile_multipath(mp), compile_singlepath(sp, g)
+        # ids drawn with replacement, so items repeat; every fifth batch is empty
+        size = 0 if batch % 5 == 4 else int(rng.integers(1, 12))
+        set_ids = rng.integers(0, len(mp), size=size if mp else 0)
+        entry_ids = rng.integers(0, len(sp.entries), size=size if sp.entries else 0)
+        symmetric = bool(batch % 2)
+        sb = make_step_batch(cm, cs, set_ids, entry_ids, np.empty((0, 2), dtype=np.int64),
+                             None, symmetric=symmetric)
+
+        def pairs(rel):
+            return [(int(a), int(b)) for a, b in zip(sb.unique_u[rel], sb.unique_v[rel])]
+
+        def stored(ps):
+            return [(min(a, b), max(a, b)) if symmetric else (a, b) for a, b in ps]
+
+        m_pairs, edge_path, cmps, s_pairs, terms, incs = _reference_batch(
+            mp, sp, g, set_ids, entry_ids)
+        assert pairs(sb.m_rel) == stored(m_pairs)
+        assert sb.m_edge_path.tolist() == edge_path
+        assert list(zip(sb.m_cmp_a.tolist(), sb.m_cmp_b.tolist())) == cmps
+        assert pairs(sb.s_rel) == stored(s_pairs)
+        assert pairs(sb.t_rel) == stored(terms)
+        assert list(zip(sb.s_inc_term.tolist(), sb.s_inc_edge.tolist())) == incs
+        assert (sb.m_num_sets, sb.m_num_paths, sb.s_num_terms) == (
+            len(set_ids), sum(len(mp[s].paths) for s in set_ids), len(terms))
 
 
 def test_symmetric_step_batch_shares_rows_and_keeps_the_2n_loss():
@@ -194,7 +258,7 @@ def test_symmetric_step_batch_shares_rows_and_keeps_the_2n_loss():
     cfg = small_cfg()
     mp, sp = pools_for(g, cfg)
     cm, cs = compile_multipath(mp), compile_singlepath(sp, g)
-    sets, entries = np.arange(cm.num_sets), np.arange(cs.num_entries)
+    sets, entries = np.arange(len(mp)), np.arange(len(sp.entries))
     none = np.empty((0, 2), dtype=np.int64)
     triplets = contrast_triplets(g.edges, np.random.default_rng(2))
     directed = make_step_batch(cm, cs, sets, entries, none, None, triplets)
@@ -336,11 +400,11 @@ def test_half_batch_losses_recombine_to_full():
         _, parts = build_objective(phi_t, params_t, sb, cfg)
         return parts, sb
 
-    all_sets = np.arange(cm.num_sets)
-    all_entries = np.arange(cs.num_entries)
+    all_sets = np.arange(len(mp))
+    all_entries = np.arange(len(sp.entries))
     full, sb_full = parts_for(all_sets, all_entries)
-    h1, sb1 = parts_for(all_sets[: cm.num_sets // 2], all_entries[: cs.num_entries // 2])
-    h2, sb2 = parts_for(all_sets[cm.num_sets // 2:], all_entries[cs.num_entries // 2:])
+    h1, sb1 = parts_for(all_sets[: len(mp) // 2], all_entries[: len(sp.entries) // 2])
+    h2, sb2 = parts_for(all_sets[len(mp) // 2:], all_entries[len(sp.entries) // 2:])
     n1, n2 = sb1.m_num_sets, sb2.m_num_sets
     assert full["loss_mul"] == pytest.approx(
         (h1["loss_mul"] * n1 + h2["loss_mul"] * n2) / (n1 + n2), rel=1e-12
