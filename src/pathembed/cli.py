@@ -18,8 +18,6 @@ import sys
 import time
 from pathlib import Path as FilePath
 
-import numpy as np
-
 from pathembed.config import RunConfig, load_config
 from pathembed.datasets import (
     DatasetError,
@@ -38,7 +36,9 @@ from pathembed.graph import (
     GraphError,
     LabeledDataset,
     load_dataset,
+    load_labels,
     load_split,
+    save_labels,
     save_split,
     split_edges,
 )
@@ -132,34 +132,6 @@ def _write_json(path: FilePath, payload: dict) -> None:
         fh.write("\n")
 
 
-def _save_labels(path: FilePath, dataset: LabeledDataset) -> None:
-    names = dataset.class_names or [
-        str(c) for c in range(dataset.num_classes)
-    ]
-    with open(path, "w", encoding="utf-8") as fh:
-        for node in range(dataset.graph.num_nodes):
-            label = int(dataset.labels[node])
-            if label >= 0:
-                fh.write(f"{node}\t{names[label]}\n")
-
-
-def _load_run_labels(path: FilePath, num_nodes: int) -> np.ndarray:
-    """Read the dense-id labels file a training run writes."""
-    labels = np.full(num_nodes, -1, dtype=np.int64)
-    name_to_id: dict[str, int] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            node_str, name = line.split("\t")
-            node = int(node_str)
-            if not 0 <= node < num_nodes:
-                raise DatasetError(f"label row for unknown node {node}")
-            labels[node] = name_to_id.setdefault(name, len(name_to_id))
-    return labels
-
-
 def _apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
     if args.seed is not None:
         cfg.train.seed = int(args.seed)
@@ -210,7 +182,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         save_history(result.history, out_dir / "history.csv")
         save_split(split, out_dir / "split")
         if dataset.labels is not None:
-            _save_labels(out_dir / "labels.tsv", dataset)
+            save_labels(out_dir / "labels.tsv", dataset)
         metrics = evaluate_split(result.state, split, tcfg.backend)
         _write_json(out_dir / "metrics.json", metrics)
 
@@ -276,8 +248,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
         else FilePath(args.split).parent / "labels.tsv"
     )
     if labels_path.is_file():
-        labels = _load_run_labels(labels_path, num_nodes)
-        dataset = LabeledDataset(graph=split.train_graph, labels=labels)
+        identity = {str(i): i for i in range(num_nodes)}
+        labels, class_names = load_labels(labels_path, identity, num_nodes)
+        dataset = LabeledDataset(split.train_graph, labels, class_names)
         try:
             report = classify_nodes(
                 state, dataset, train_fraction=0.1, seed=tcfg.seed

@@ -24,7 +24,8 @@ from pathlib import Path as FilePath
 
 import numpy as np
 
-from pathembed.graph import Graph, LabeledDataset, load_dataset
+from pathembed.graph import (Graph, LabeledDataset, load_dataset, load_labels,
+                             read_meta, read_pairs, save_labels, write_pairs)
 
 logger = logging.getLogger(__name__)
 
@@ -194,30 +195,24 @@ def prepare_dataset(raw_dir: str | FilePath, out_dir: str | FilePath,
     raw_rows = None
     if layout == "citation":
         graph, labels, class_names, report = load_citation_archive(raw_dir)
+        dataset = LabeledDataset(graph, labels, class_names)
         raw_rows = report["raw_citation_rows"]
     else:
         labels_path = raw_dir / "labels.tsv"
-        dataset, report = load_dataset(
+        dataset, _ = load_dataset(
             raw_dir / "edges.txt",
             labels_path if labels_path.exists() else None,
         )
-        graph = dataset.graph
-        labels = dataset.labels
-        class_names = dataset.class_names
+    graph = dataset.graph
 
-    num_labels = len(class_names) if class_names else 0
+    num_labels = len(dataset.class_names)
     warnings = check_stats(name, graph.num_nodes, graph.num_edges, num_labels,
                            raw_rows=raw_rows)
 
     out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / "edges.txt", "w", encoding="utf-8") as fh:
-        for u, v in graph.edges:
-            fh.write(f"{u} {v}\n")
-    if labels is not None and class_names:
-        with open(out_dir / "labels.tsv", "w", encoding="utf-8") as fh:
-            for node in range(graph.num_nodes):
-                if labels[node] >= 0:
-                    fh.write(f"{node}\t{class_names[labels[node]]}\n")
+    write_pairs(out_dir / "edges.txt", graph.edges)
+    if dataset.class_names:
+        save_labels(out_dir / "labels.tsv", dataset)
     meta = {
         "name": name,
         "layout": layout,
@@ -235,14 +230,19 @@ def prepare_dataset(raw_dir: str | FilePath, out_dir: str | FilePath,
 
 
 def load_prepared(prepared_dir: str | FilePath) -> LabeledDataset:
-    """Load a directory produced by prepare_dataset."""
+    """Load a directory produced by prepare_dataset, keeping every node.
+
+    The node count comes from `meta.json`, so a node without edges (an
+    uncited paper) keeps its id and its label.
+    """
     prepared_dir = FilePath(prepared_dir)
+    n = read_meta(prepared_dir / "meta.json", ("num_nodes",))["num_nodes"]
+    graph = Graph(n, read_pairs(prepared_dir / "edges.txt", n))
     labels_path = prepared_dir / "labels.tsv"
-    dataset, _ = load_dataset(
-        prepared_dir / "edges.txt",
-        labels_path if labels_path.exists() else None,
-    )
-    return dataset
+    if not labels_path.exists():
+        return LabeledDataset(graph)
+    labels, class_names = load_labels(labels_path, {str(i): i for i in range(n)}, n)
+    return LabeledDataset(graph, labels, class_names)
 
 
 # -- synthetic stand-in ----------------------------------------------------------

@@ -1,8 +1,9 @@
 """Undirected graph container, loaders, link-prediction splits, bridges.
 
 Graphs are immutable once built: edges are canonicalized (u < v, sorted,
-deduplicated, self-loops dropped) and adjacency is stored in CSR form with
-sorted neighbor lists so every traversal in the package is deterministic.
+deduplicated, self-loops dropped) and adjacency is one sorted plain-int
+neighbor list per node, so every traversal in the package is deterministic.
+This module also reads and writes every dense-id file on disk.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ class GraphError(ValueError):
 class Graph:
     """Immutable simple undirected graph on dense node ids 0..N-1."""
 
-    __slots__ = ("num_nodes", "edges", "indptr", "indices", "_edge_keys", "_adjacency")
+    __slots__ = ("num_nodes", "edges", "adjacency", "_edge_keys")
 
     def __init__(self, num_nodes: int, edges: np.ndarray):
         if num_nodes <= 0:
@@ -37,28 +38,14 @@ class Graph:
         self.edges = canon
         self.edges.setflags(write=False)
 
-        # CSR adjacency with sorted neighbor lists
-        deg = np.zeros(num_nodes, dtype=np.int64)
-        if canon.size:
-            np.add.at(deg, canon[:, 0], 1)
-            np.add.at(deg, canon[:, 1], 1)
-        self.indptr = np.concatenate([[0], np.cumsum(deg)])
-        self.indices = np.empty(int(self.indptr[-1]), dtype=np.int64)
-        cursor = self.indptr[:-1].copy()
-        for u, v in canon:
-            self.indices[cursor[u]] = v
-            cursor[u] += 1
-            self.indices[cursor[v]] = u
-            cursor[v] += 1
-        for u in range(num_nodes):
-            seg = slice(self.indptr[u], self.indptr[u + 1])
-            self.indices[seg] = np.sort(self.indices[seg])
-        self.indptr.setflags(write=False)
-        self.indices.setflags(write=False)
-        self._edge_keys = frozenset(
-            int(a) * self.num_nodes + int(b) for a, b in canon
-        )
-        self._adjacency = None
+        # both directions of every edge, ordered by (source, target)
+        src = np.concatenate([canon[:, 0], canon[:, 1]])
+        dst = np.concatenate([canon[:, 1], canon[:, 0]])
+        flat = dst[np.lexsort((dst, src))].tolist()
+        ends = np.cumsum(np.bincount(src, minlength=self.num_nodes)).tolist()
+        starts = [0] + ends[:-1]
+        self.adjacency = tuple(flat[a:b] for a, b in zip(starts, ends))
+        self._edge_keys = frozenset((canon[:, 0] * self.num_nodes + canon[:, 1]).tolist())
 
     # -- queries ---------------------------------------------------------
 
@@ -67,22 +54,10 @@ class Graph:
         return int(self.edges.shape[0])
 
     def neighbors(self, u: int) -> np.ndarray:
-        return self.indices[self.indptr[u]: self.indptr[u + 1]]
-
-    def adjacency(self) -> list[list[int]]:
-        """Sorted neighbor lists of plain ints, built on first use.
-
-        Python-level traversals iterate these instead of CSR slices, which
-        are several times slower to index one element at a time.
-        """
-        if self._adjacency is None:
-            flat = self.indices.tolist()
-            ptr = self.indptr.tolist()
-            self._adjacency = [flat[ptr[u]: ptr[u + 1]] for u in range(self.num_nodes)]
-        return self._adjacency
+        return np.array(self.adjacency[u], dtype=np.int64)
 
     def degree(self, u: int) -> int:
-        return int(self.indptr[u + 1] - self.indptr[u])
+        return len(self.adjacency[u])
 
     def has_edge(self, u: int, v: int) -> bool:
         if u == v:
@@ -92,7 +67,8 @@ class Graph:
 
     def connected_components(self) -> tuple[int, np.ndarray]:
         """(component count, per-node labels in first-seen order)."""
-        labels = np.full(self.num_nodes, -1, dtype=np.int64)
+        adj = self.adjacency
+        labels = [-1] * self.num_nodes
         count = 0
         for root in range(self.num_nodes):
             if labels[root] != -1:
@@ -100,52 +76,46 @@ class Graph:
             stack = [root]
             labels[root] = count
             while stack:
-                u = stack.pop()
-                for v in self.neighbors(u):
+                for v in adj[stack.pop()]:
                     if labels[v] == -1:
                         labels[v] = count
-                        stack.append(int(v))
+                        stack.append(v)
             count += 1
-        return count, labels
+        return count, np.array(labels, dtype=np.int64)
 
     def find_bridges(self) -> np.ndarray:
         """All bridge edges, canonical (u < v) and sorted, shape (B, 2).
 
-        Iterative low-link search; an explicit stack keeps Cora-scale
-        chains from exceeding the interpreter recursion limit.
+        Iterative low-link search; an explicit stack of (node, parent,
+        neighbors) frames keeps Cora-scale chains within the recursion limit.
         """
-        n = self.num_nodes
-        disc = np.full(n, -1, dtype=np.int64)
-        low = np.zeros(n, dtype=np.int64)
-        parent = np.full(n, -1, dtype=np.int64)
-        cursor = np.array(self.indptr[:-1], dtype=np.int64)
+        adj = self.adjacency
+        disc = [-1] * self.num_nodes
+        low = [0] * self.num_nodes
         out: list[tuple[int, int]] = []
         timer = 0
-        for root in range(n):
+        for root in range(self.num_nodes):
             if disc[root] != -1:
                 continue
             disc[root] = low[root] = timer
             timer += 1
-            stack = [root]
+            stack = [(root, -1, iter(adj[root]))]
             while stack:
-                u = stack[-1]
-                if cursor[u] < self.indptr[u + 1]:
-                    v = int(self.indices[cursor[u]])
-                    cursor[u] += 1
+                u, parent, it = stack[-1]
+                for v in it:
                     if disc[v] == -1:
-                        parent[v] = u
                         disc[v] = low[v] = timer
                         timer += 1
-                        stack.append(v)
-                    elif v != parent[u]:
+                        stack.append((v, u, iter(adj[v])))
+                        break
+                    if v != parent:
                         low[u] = min(low[u], disc[v])
                 else:
                     stack.pop()
-                    if stack:
-                        p = stack[-1]
-                        low[p] = min(low[p], low[u])
-                        if low[u] > disc[p]:
-                            out.append((min(p, u), max(p, u)))
+                    if parent >= 0:
+                        low[parent] = min(low[parent], low[u])
+                        if low[u] > disc[parent]:
+                            out.append((min(parent, u), max(parent, u)))
         if not out:
             return np.empty((0, 2), dtype=np.int64)
         return np.array(sorted(out), dtype=np.int64)
@@ -250,7 +220,9 @@ def load_edge_list(path: str | FilePath) -> tuple[Graph, dict]:
 def load_labels(path: str | FilePath, id_map: dict[str, int], num_nodes: int):
     """Read `node_id<TAB>class_label` lines into a dense label array.
 
-    Class names are sorted lexicographically to fix the class-id order.
+    Raw files map their node tokens through `id_map`; a dense-id file, as
+    `save_labels` writes, passes the identity map `{str(i): i}`. Class
+    names are sorted lexicographically to fix the class-id order.
     Unlisted nodes get label -1. Returns (labels, class_names).
     """
     raw: dict[int, str] = {}
@@ -272,6 +244,15 @@ def load_labels(path: str | FilePath, id_map: dict[str, int], num_nodes: int):
     for node, name in raw.items():
         labels[node] = class_ids[name]
     return labels, class_names
+
+
+def save_labels(path: str | FilePath, dataset: LabeledDataset) -> None:
+    """Write one `node<TAB>class name` line per labeled node, in node order."""
+    names = dataset.class_names or [str(c) for c in range(dataset.num_classes)]
+    with open(path, "w", encoding="utf-8") as fh:
+        for node, label in enumerate(dataset.labels.tolist()):
+            if label >= 0:
+                fh.write(f"{node}\t{names[label]}\n")
 
 
 def load_dataset(edges_path: str | FilePath, labels_path: str | FilePath | None = None):
@@ -345,16 +326,27 @@ def split_edges(
     )
 
 
-# -- split serialization -----------------------------------------------------
+# -- dense-id files and split serialization ----------------------------------
 
 
-def _write_pairs(path: FilePath, pairs: np.ndarray) -> None:
+def read_meta(path: str | FilePath, keys: tuple[str, ...]) -> dict:
+    """A JSON metadata file that must hold every one of `keys`."""
+    with open(path, "r", encoding="utf-8") as fh:
+        meta = json.load(fh)
+    missing = [key for key in keys if key not in meta]
+    if missing:
+        raise GraphError(f"{path}: missing key {missing[0]!r}")
+    return meta
+
+
+def write_pairs(path: str | FilePath, pairs: np.ndarray) -> None:
+    """One `a b` line of dense node ids per row of `pairs`."""
     with open(path, "w", encoding="utf-8") as fh:
         for a, b in np.asarray(pairs, dtype=np.int64).reshape(-1, 2):
             fh.write(f"{int(a)} {int(b)}\n")
 
 
-def _read_pairs(path: FilePath, num_nodes: int) -> np.ndarray:
+def read_pairs(path: str | FilePath, num_nodes: int) -> np.ndarray:
     """One `a b` pair of node ids in 0..num_nodes-1 per non-blank line."""
     rows = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -377,11 +369,11 @@ def _read_pairs(path: FilePath, num_nodes: int) -> np.ndarray:
 def save_split(split: EdgeSplit, out_dir: str | FilePath) -> None:
     out = FilePath(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    _write_pairs(out / "train.txt", split.train_graph.edges)
-    _write_pairs(out / "val_pos.txt", split.val_pos)
-    _write_pairs(out / "val_neg.txt", split.val_neg)
-    _write_pairs(out / "test_pos.txt", split.test_pos)
-    _write_pairs(out / "test_neg.txt", split.test_neg)
+    write_pairs(out / "train.txt", split.train_graph.edges)
+    write_pairs(out / "val_pos.txt", split.val_pos)
+    write_pairs(out / "val_neg.txt", split.val_neg)
+    write_pairs(out / "test_pos.txt", split.test_pos)
+    write_pairs(out / "test_neg.txt", split.test_neg)
     meta = {
         "num_nodes": split.train_graph.num_nodes,
         "seed": split.seed,
@@ -399,15 +391,14 @@ def save_split(split: EdgeSplit, out_dir: str | FilePath) -> None:
 
 def load_split(split_dir: str | FilePath) -> EdgeSplit:
     d = FilePath(split_dir)
-    with open(d / "metadata.json", "r", encoding="utf-8") as fh:
-        meta = json.load(fh)
+    meta = read_meta(d / "metadata.json", ("num_nodes", "seed", "val_fraction", "test_fraction"))
     n = meta["num_nodes"]
     return EdgeSplit(
-        train_graph=Graph(n, _read_pairs(d / "train.txt", n)),
-        val_pos=_read_pairs(d / "val_pos.txt", n),
-        val_neg=_read_pairs(d / "val_neg.txt", n),
-        test_pos=_read_pairs(d / "test_pos.txt", n),
-        test_neg=_read_pairs(d / "test_neg.txt", n),
+        train_graph=Graph(n, read_pairs(d / "train.txt", n)),
+        val_pos=read_pairs(d / "val_pos.txt", n),
+        val_neg=read_pairs(d / "val_neg.txt", n),
+        test_pos=read_pairs(d / "test_pos.txt", n),
+        test_neg=read_pairs(d / "test_neg.txt", n),
         seed=int(meta["seed"]),
         val_fraction=float(meta["val_fraction"]),
         test_fraction=float(meta["test_fraction"]),

@@ -22,16 +22,16 @@ from pathembed.graph import Graph
 _MULTI_TAG = 0x9A17
 _SINGLE_TAG = 0x51E7
 
+# both builders enumerate every candidate pair when the graph has at most
+# this many node pairs, and sample candidates above it
+EXHAUSTIVE_LIMIT = 200_000
+
 
 @dataclass(frozen=True)
 class Path:
     """A simple path as an ordered node tuple (>= 1 edge)."""
 
     nodes: tuple[int, ...]
-
-    @property
-    def num_edges(self) -> int:
-        return len(self.nodes) - 1
 
     @property
     def endpoints(self) -> tuple[int, int]:
@@ -66,7 +66,7 @@ def validate_path(graph: Graph, path: Path) -> None:
 
 def bfs_distances(graph: Graph, source: int, max_hops: int | None = None) -> np.ndarray:
     """Hop distance from source to every node (-1 beyond max_hops)."""
-    adj = graph.adjacency()
+    adj = graph.adjacency
     dist = [-1] * graph.num_nodes
     dist[source] = 0
     frontier = [int(source)]
@@ -124,7 +124,7 @@ def enumerate_simple_paths(
             found[slot] = record
         return False
 
-    adj = graph.adjacency()
+    adj = graph.adjacency
     path = [i]
     on_path = {i}
     stack = [iter(adj[i])]
@@ -220,7 +220,6 @@ def build_multipath_pool(
     max_paths: int,
     max_pairs: int,
     seed: int,
-    exhaustive_limit: int = 200_000,
     path_budget: int | None = None,
 ) -> list[MultiPathSet]:
     """Pairs with >= 2 simple paths within max_len, adjacent pairs first.
@@ -253,7 +252,7 @@ def build_multipath_pool(
 
     n = graph.num_nodes
     if len(sets) < max_pairs:
-        if n * (n - 1) // 2 <= exhaustive_limit:
+        if n * (n - 1) // 2 <= EXHAUSTIVE_LIMIT:
             candidates = _hop_ball_pairs(graph, max_len, 2)
             for k in rng.permutation(len(candidates)):
                 if len(sets) >= max_pairs:
@@ -300,7 +299,7 @@ def _unique_path_within(
     """
     found: list[tuple[int, ...]] = []
     visits = 0
-    adj = graph.adjacency()
+    adj = graph.adjacency
     path = [v]
     on_path = {v}
     stack = [iter(adj[v])]
@@ -341,7 +340,6 @@ def build_singlepath_pool(
     max_len: int,
     max_pairs: int,
     seed: int,
-    exhaustive_limit: int = 200_000,
 ) -> SinglePathSet:
     """Pairs with exactly one simple path within max_len.
 
@@ -363,7 +361,7 @@ def build_singlepath_pool(
             entries.append((pair, path))
 
     n = graph.num_nodes
-    if n * (n - 1) // 2 <= exhaustive_limit:
+    if n * (n - 1) // 2 <= EXHAUSTIVE_LIMIT:
         extras = [pair for pair in _hop_ball_pairs(graph, max_len, 1) if pair not in seen]
         for u, v in extras:
             found = enumerate_simple_paths(graph, u, v, max_len, max_paths=2)

@@ -421,7 +421,7 @@ def build_objective(
         for w, t in terms:
             piece = t if w == 1.0 else t * w
             total = piece if total is None else total + piece
-    parts["loss"] = total.item() if isinstance(total, Tensor) else float(total)
+    parts["loss"] = total.item()
     return total, parts
 
 
@@ -608,7 +608,7 @@ def train(
                 raise TrainingError(
                     f"non-finite loss at step {state.step + 1}: {parts}"
                 )
-            if isinstance(total, Tensor) and total.requires_grad:
+            if total.requires_grad:
                 total.backward()
             grads = {}
             for name, arr in state.trainables().items():

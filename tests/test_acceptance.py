@@ -59,7 +59,9 @@ def random_graph(rng: np.random.Generator, n: int, p: float) -> Graph:
 
 
 def neighbors(graph: Graph, u: int) -> np.ndarray:
-    return graph.indices[graph.indptr[u]:graph.indptr[u + 1]]
+    """Sorted neighbors of u, read from the edge list alone."""
+    e = graph.edges
+    return np.sort(np.concatenate([e[e[:, 0] == u, 1], e[e[:, 1] == u, 0]]))
 
 
 # -- 1: reverse-mode gradients against central differences -------------------

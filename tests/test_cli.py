@@ -11,6 +11,7 @@ import pathembed.cli
 import pathembed.training
 from pathembed.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
 from pathembed.config import RunConfig, from_mapping, load_config, save_config
+from pathembed.datasets import load_citation_archive, load_prepared
 from pathembed.training import ConfigError
 
 
@@ -234,6 +235,33 @@ class TestEval:
         assert f"{name}, line {len(lines)}" in err
         assert message in err
 
+    @pytest.mark.parametrize("key", ["num_nodes", "seed", "val_fraction", "test_fraction"])
+    def test_split_metadata_missing_key_exits_2(self, toy_run, capsys, key):
+        path = toy_run / "split" / "metadata.json"
+        meta = json.loads(path.read_text())
+        del meta[key]
+        path.write_text(json.dumps(meta))
+        code = main(["eval", "--checkpoint", str(toy_run / "checkpoint.npz"),
+                     "--split", str(toy_run / "split")])
+        assert code == EXIT_CONFIG
+        assert f"metadata.json: missing key {key!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line,message", [
+        ("7", "expected node and label"),
+        ("0\tleft\tright", "expected node and label"),
+        ("99\tleft", "unknown node id '99'"),
+    ], ids=["one-field", "three-fields", "unknown-node"])
+    def test_malformed_run_labels_exit_2(self, toy_run, capsys, line, message):
+        path = toy_run / "labels.tsv"
+        lines = path.read_text().splitlines() + [line]
+        path.write_text("\n".join(lines) + "\n")
+        code = main(["eval", "--checkpoint", str(toy_run / "checkpoint.npz"),
+                     "--split", str(toy_run / "split")])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"labels.tsv: line {len(lines)}" in err
+        assert message in err
+
     def test_checkpoint_split_mismatch_exits_2(self, toy_run, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.yaml"
         cfg = toy_config()
@@ -279,6 +307,35 @@ class TestPrepare:
         snapshot = {p.name: p.read_bytes() for p in out.iterdir()}
         assert main(["prepare", str(raw), "--out", str(out)]) == EXIT_OK
         assert snapshot == {p.name: p.read_bytes() for p in out.iterdir()}
+
+    def test_citation_archive_with_uncited_paper_trains(self, tmp_path):
+        # raw ids are sparse, and paper 555 has no .cites row: it must keep
+        # its dense id and its label through prepare, load and train
+        raw = tmp_path / "raw"
+        raw.mkdir()
+        papers = {1: "ai", 5: "ai", 12: "ai", 40: "ai", 555: "db", 41: "db", 100: "db",
+                  250: "db", 777: "db"}
+        (raw / "mini.content").write_text(
+            "".join(f"{pid}\t0\t1\t{label}\n" for pid, label in papers.items()))
+        (raw / "mini.cites").write_text(
+            "1 5\n5 12\n12 1\n12 40\n40 1\n40 5\n41 100\n100 250\n250 41\n"
+            "250 777\n777 100\n41 777\n40 41\n")
+        out = tmp_path / "prep"
+        assert main(["prepare", str(raw), "--out", str(out)]) == EXIT_OK
+        dataset = load_prepared(out)
+        graph, labels, class_names, _ = load_citation_archive(raw)
+        assert dataset.graph.num_nodes == len(papers) == graph.num_nodes
+        np.testing.assert_array_equal(dataset.graph.edges, graph.edges)
+        np.testing.assert_array_equal(dataset.labels, labels)
+        assert dataset.class_names == class_names
+        assert dataset.graph.degree(7) == 0 and class_names[labels[7]] == "db"
+        cfg_path = tmp_path / "cfg.yaml"
+        cfg = toy_config(epochs=2)
+        cfg["dataset"] = {"kind": "prepared", "path": str(out)}
+        write_yaml(cfg_path, cfg)
+        run = tmp_path / "run"
+        assert main(["train", "--config", str(cfg_path), "--out", str(run)]) == EXIT_OK
+        assert json.loads((run / "split" / "metadata.json").read_text())["num_nodes"] == 9
 
     def test_unknown_layout_exits_2(self, tmp_path, capsys):
         raw = tmp_path / "raw"

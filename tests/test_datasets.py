@@ -18,7 +18,7 @@ from pathembed.datasets import (
     synthetic_citation_graph,
     verify_checksums,
 )
-from pathembed.graph import Graph, load_dataset
+from pathembed.graph import Graph, GraphError, load_dataset
 
 TOY_DIR = Path(__file__).resolve().parent.parent / "data" / "toy"
 
@@ -103,6 +103,16 @@ def test_prepare_plain_layout_round_trips_toy_fixture(tmp_path):
     assert np.array_equal(dataset.graph.edges, original.graph.edges)
     assert np.array_equal(dataset.labels, original.labels)
     assert dataset.class_names == original.class_names
+
+
+def test_load_prepared_needs_num_nodes_in_meta(tmp_path):
+    out = tmp_path / "prepared"
+    prepare_dataset(TOY_DIR, out, name="toy")
+    meta = json.loads((out / "meta.json").read_text())
+    del meta["num_nodes"]
+    (out / "meta.json").write_text(json.dumps(meta))
+    with pytest.raises(GraphError, match="meta.json: missing key 'num_nodes'"):
+        load_prepared(out)
 
 
 def test_prepare_rejects_unknown_layout(tmp_path):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import pathembed.paths
 from pathembed.graph import Graph
 from pathembed.paths import (
     MultiPathSet,
@@ -178,13 +179,12 @@ class TestMultiPathPool:
         b = build_multipath_pool(g, 3, 4, 50, seed=9)
         assert a == b
 
-    def test_sampled_mode_still_valid(self):
+    def test_sampled_mode_still_valid(self, monkeypatch):
         # force the sampled candidate generator with a tiny exhaustive limit
+        monkeypatch.setattr(pathembed.paths, "EXHAUSTIVE_LIMIT", 1)
         rng = np.random.default_rng(14)
         g = random_graph(rng, n_max=10, p=0.5)
-        pool = build_multipath_pool(
-            g, max_len=3, max_paths=4, max_pairs=10, seed=2, exhaustive_limit=1
-        )
+        pool = build_multipath_pool(g, max_len=3, max_paths=4, max_pairs=10, seed=2)
         for s in pool:
             assert len(s.paths) >= 2
             for p in s.paths:
@@ -232,14 +232,14 @@ class TestSinglePathPool:
             }
             assert got == want
 
-    def test_sampled_mode_is_sound_subset_of_exhaustive(self):
+    def test_sampled_mode_is_sound_subset_of_exhaustive(self, monkeypatch):
         rng = np.random.default_rng(16)
         for _ in range(20):
             g = random_graph(rng, n_max=10, p=0.3)
             full = build_singlepath_pool(g, max_len=4, max_pairs=10_000, seed=5)
-            sampled = build_singlepath_pool(
-                g, max_len=4, max_pairs=10_000, seed=5, exhaustive_limit=0
-            )
+            with monkeypatch.context() as patch:
+                patch.setattr(pathembed.paths, "EXHAUSTIVE_LIMIT", 0)
+                sampled = build_singlepath_pool(g, max_len=4, max_pairs=10_000, seed=5)
             full_by_pair = dict(full.entries)
             for pair, path in sampled.entries:
                 # every sampled entry must be a genuine unique-path pair,
