@@ -59,10 +59,6 @@ class Tensor:
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
 
-    @property
-    def ndim(self) -> int:
-        return self.data.ndim
-
     def item(self) -> float:
         return float(self.data)
 
@@ -129,9 +125,6 @@ class Tensor:
 
         return Tensor(out_data, _parents=(self, other), _vjp=vjp)
 
-    def __rsub__(self, other) -> "Tensor":
-        return _wrap(other).__sub__(self)
-
     def __mul__(self, other) -> "Tensor":
         other = _wrap(other)
         out_data = self.data * other.data
@@ -153,9 +146,6 @@ class Tensor:
             return (_unbroadcast(g / b, a.shape), _unbroadcast(-g * a / (b * b), b.shape))
 
         return Tensor(out_data, _parents=(self, other), _vjp=vjp)
-
-    def __rtruediv__(self, other) -> "Tensor":
-        return _wrap(other).__truediv__(self)
 
     def __matmul__(self, other) -> "Tensor":
         other = _wrap(other)

@@ -180,8 +180,12 @@ def load_edge_list(path: str | FilePath) -> tuple[Graph, dict]:
     Returns (graph, report) where the report records the id map and the
     number of duplicates and self-loops dropped.
     """
+    return _load_edge_list(path, set())
+
+
+def _load_edge_list(path: str | FilePath, tokens: set[str]) -> tuple[Graph, dict]:
+    """`load_edge_list`, numbering the extra node `tokens` together with the edges'."""
     raw_edges: list[tuple[str, str]] = []
-    tokens: set[str] = set()
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
@@ -195,15 +199,11 @@ def load_edge_list(path: str | FilePath) -> tuple[Graph, dict]:
     if not raw_edges:
         raise GraphError(f"{path}: no edges found")
 
-    if all(t.lstrip("-").isdigit() for t in tokens):
-        ordered = sorted(tokens, key=int)
-    else:
-        ordered = sorted(tokens)
+    numeric = all(t.lstrip("-").isdigit() for t in tokens)
+    ordered = sorted(tokens, key=int if numeric else None)
     id_map = {tok: i for i, tok in enumerate(ordered)}
 
-    pairs = np.array(
-        [(id_map[a], id_map[b]) for a, b in raw_edges], dtype=np.int64
-    )
+    pairs = np.array([(id_map[a], id_map[b]) for a, b in raw_edges], dtype=np.int64)
     self_loops = int((pairs[:, 0] == pairs[:, 1]).sum())
     graph = Graph(len(ordered), pairs)
     duplicates = len(raw_edges) - self_loops - graph.num_edges
@@ -217,6 +217,19 @@ def load_edge_list(path: str | FilePath) -> tuple[Graph, dict]:
     return graph, report
 
 
+def _label_lines(path: str | FilePath):
+    """(line number, node token, class name) for each label line of `path`."""
+    with open(path, "r", encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            line = line.rstrip("\n")
+            if not line.strip() or line.startswith("#"):
+                continue
+            parts = line.split("\t") if "\t" in line else line.split()
+            if len(parts) != 2:
+                raise GraphError(f"{path}: line {line_no}: expected node and label")
+            yield line_no, parts[0], parts[1]
+
+
 def load_labels(path: str | FilePath, id_map: dict[str, int], num_nodes: int):
     """Read `node_id<TAB>class_label` lines into a dense label array.
 
@@ -226,18 +239,10 @@ def load_labels(path: str | FilePath, id_map: dict[str, int], num_nodes: int):
     Unlisted nodes get label -1. Returns (labels, class_names).
     """
     raw: dict[int, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip() or line.startswith("#"):
-                continue
-            parts = line.split("\t") if "\t" in line else line.split()
-            if len(parts) != 2:
-                raise GraphError(f"{path}: line {line_no}: expected node and label")
-            node_tok, label = parts
-            if node_tok not in id_map:
-                raise GraphError(f"{path}: line {line_no}: unknown node id {node_tok!r}")
-            raw[id_map[node_tok]] = label
+    for line_no, node_tok, label in _label_lines(path):
+        if node_tok not in id_map:
+            raise GraphError(f"{path}: line {line_no}: unknown node id {node_tok!r}")
+        raw[id_map[node_tok]] = label
     class_names = sorted(set(raw.values()))
     class_ids = {name: i for i, name in enumerate(class_names)}
     labels = np.full(num_nodes, -1, dtype=np.int64)
@@ -256,8 +261,13 @@ def save_labels(path: str | FilePath, dataset: LabeledDataset) -> None:
 
 
 def load_dataset(edges_path: str | FilePath, labels_path: str | FilePath | None = None):
-    """Convenience loader for (edge list [+ labels]) -> LabeledDataset."""
-    graph, report = load_edge_list(edges_path)
+    """Convenience loader for (edge list [+ labels]) -> LabeledDataset.
+
+    Label and edge node tokens are numbered together, so a labeled node
+    without edges keeps its id and label.
+    """
+    tokens = set() if labels_path is None else {tok for _, tok, _ in _label_lines(labels_path)}
+    graph, report = _load_edge_list(edges_path, tokens)
     labels, class_names = (None, [])
     if labels_path is not None:
         labels, class_names = load_labels(labels_path, report["id_map"], graph.num_nodes)
@@ -329,13 +339,27 @@ def split_edges(
 # -- dense-id files and split serialization ----------------------------------
 
 
+_META_TYPES = {
+    "num_nodes": ("a positive integer", lambda x: type(x) is int and x > 0),
+    "seed": ("an integer", lambda x: type(x) is int),
+    "val_fraction": ("a number", lambda x: type(x) in (int, float)),
+    "test_fraction": ("a number", lambda x: type(x) in (int, float)),
+}
+
+
 def read_meta(path: str | FilePath, keys: tuple[str, ...]) -> dict:
-    """A JSON metadata file that must hold every one of `keys`."""
-    with open(path, "r", encoding="utf-8") as fh:
-        meta = json.load(fh)
-    missing = [key for key in keys if key not in meta]
-    if missing:
-        raise GraphError(f"{path}: missing key {missing[0]!r}")
+    """A JSON metadata file that must hold every one of `keys`, each well typed."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            meta = json.load(fh)
+    except ValueError as exc:  # malformed JSON or text
+        raise GraphError(f"{path}: not valid JSON ({exc})") from None
+    for key in keys:
+        if not isinstance(meta, dict) or key not in meta:
+            raise GraphError(f"{path}: missing key {key!r}")
+        what, ok = _META_TYPES[key]
+        if not ok(meta[key]):
+            raise GraphError(f"{path}: key {key!r} must be {what}, got {meta[key]!r}")
     return meta
 
 

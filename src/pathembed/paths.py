@@ -2,12 +2,12 @@
 
 The multi-path pool holds node pairs joined by at least two simple paths
 within the length cap; the single-path pool holds pairs joined by exactly
-one. Qualification is decided by early-exit path counting, except that
-pairs connected purely through bridge edges are provably unique-path at
-any length (a simple path that reaches the far side of a bridge must
-cross it, and it can only be at the bridge's near endpoint once), so at
-scale the single-path builder walks the bridge forest instead of
-counting.
+one. Multi-path candidates qualify by enumeration, single-path candidates
+by a distance-pruned search that stops at a second path. Pairs connected
+purely through bridge edges are provably unique-path at any length (a
+simple path that reaches the far side of a bridge must cross it, and it
+can only be at the bridge's near endpoint once), so the single-path
+builder takes them from the bridge forest without a search.
 """
 
 from __future__ import annotations
@@ -95,9 +95,9 @@ def enumerate_simple_paths(
     """All simple i-j paths of <= max_len edges, depth-first, sorted.
 
     Two capping modes. Without an rng the search stops as soon as
-    max_paths paths are found (deterministic first-k in DFS order, used
-    for early-exit counting). With an rng the search enumerates fully and
-    keeps a uniform reservoir of max_paths. `max_expansions` bounds the
+    max_paths paths are found (deterministic first-k in DFS order). With
+    an rng the search enumerates fully and keeps a uniform reservoir of
+    max_paths. `max_expansions` bounds the
     number of DFS descents on large graphs; when it binds, the result is
     the paths discovered within the budget.
     """
@@ -159,59 +159,49 @@ def enumerate_simple_paths(
 # -- pool construction -------------------------------------------------------
 
 
-def _bridge_forest_adjacency(graph: Graph) -> dict[int, list[int]]:
-    adj: dict[int, list[int]] = {}
-    for a, b in graph.find_bridges():
-        adj.setdefault(int(a), []).append(int(b))
-        adj.setdefault(int(b), []).append(int(a))
-    for u in adj:
-        adj[u].sort()
-    return adj
-
-
 def _bridge_forest_pairs(graph: Graph, max_len: int):
     """(pair, forest path) for all pairs joined by <= max_len bridges.
 
-    Bridge edges form a forest (no bridge lies on a cycle), so the walk
-    below visits each pair once and the recovered path is the unique
-    simple path between the endpoints in the whole graph.
+    Bridge edges form a forest (no bridge lies on a cycle), so the BFS
+    parent chain from v back to u is the unique simple u-v path in the
+    whole graph.
     """
-    adj = _bridge_forest_adjacency(graph)
+    adj = Graph(graph.num_nodes, graph.find_bridges()).adjacency
     out = []
-    for u in sorted(adj):
-        # bounded DFS in the forest, emitting v > u only
-        stack = [(u, iter(adj[u]))]
-        trail = [u]
-        on_trail = {u}
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for v in it:
-                if v in on_trail:
-                    continue
-                trail.append(v)
-                on_trail.add(v)
-                if v > u:
-                    out.append(((u, v), Path(tuple(trail))))
-                if len(trail) - 1 < max_len:
-                    stack.append((v, iter(adj[v])))
-                else:
-                    on_trail.discard(trail.pop())
-                advanced = True
-                break
-            if not advanced:
-                stack.pop()
-                on_trail.discard(trail.pop())
+    for u in range(graph.num_nodes):
+        parent = {u: u}
+        frontier = [u]
+        for _ in range(max_len):
+            reached = []
+            for w in frontier:
+                for x in adj[w]:
+                    if x not in parent:
+                        parent[x] = w
+                        reached.append(x)
+            frontier = reached
+        for v in sorted(x for x in parent if x > u):
+            trail = [v]
+            while trail[-1] != u:
+                trail.append(parent[trail[-1]])
+            out.append(((u, v), Path(tuple(reversed(trail)))))
     return out
 
 
-def _hop_ball_pairs(graph: Graph, max_len: int, min_dist: int) -> list[tuple[int, int]]:
-    """Every pair (u, v), u < v, at hop distance min_dist..max_len, in (u, v) order."""
-    pairs = []
+def _hop_balls(graph: Graph, max_len: int, min_dist: int):
+    """(u, BFS distances from u, every v > u at hop distance min_dist..max_len), u in order."""
     for u in range(graph.num_nodes):
         dist = bfs_distances(graph, u, max_len)  # -1 beyond max_len
-        pairs.extend((u, int(v)) for v in np.nonzero(dist >= min_dist)[0] if v > u)
-    return pairs
+        yield u, dist, (np.nonzero(dist[u + 1:] >= min_dist)[0] + (u + 1)).tolist()
+
+
+def _draw_ball(graph: Graph, rng: np.random.Generator, max_len: int, min_dist: int, k: int):
+    """A random source u, its BFS distances and up to k distinct nodes in min_dist..max_len."""
+    u = int(rng.integers(0, graph.num_nodes))
+    dist = bfs_distances(graph, u, max_len)
+    eligible = np.nonzero((dist >= min_dist) & (dist <= max_len))[0]
+    if eligible.size == 0:
+        return u, dist, []
+    return u, dist, rng.choice(eligible, size=min(k, eligible.size), replace=False).tolist()
 
 
 def build_multipath_pool(
@@ -253,26 +243,22 @@ def build_multipath_pool(
     n = graph.num_nodes
     if len(sets) < max_pairs:
         if n * (n - 1) // 2 <= EXHAUSTIVE_LIMIT:
-            candidates = _hop_ball_pairs(graph, max_len, 2)
+            candidates = [(u, v) for u, _, ball in _hop_balls(graph, max_len, 2) for v in ball]
             for k in rng.permutation(len(candidates)):
                 if len(sets) >= max_pairs:
                     break
                 consider(*candidates[int(k)])
         else:
             attempts = 0
-            attempt_cap = 8 * max_pairs
-            while len(sets) < max_pairs and attempts < attempt_cap:
-                u = int(rng.integers(0, n))
-                dist = bfs_distances(graph, u, max_len)
-                eligible = np.nonzero((dist >= 2) & (dist <= max_len))[0]
-                if eligible.size == 0:
+            while len(sets) < max_pairs and attempts < 8 * max_pairs:
+                u, _, picks = _draw_ball(graph, rng, max_len, 2, 8)
+                if not picks:
                     attempts += 8
                     continue
-                picks = rng.choice(eligible, size=min(8, eligible.size), replace=False)
                 for v in picks:
                     if len(sets) >= max_pairs:
                         break
-                    consider(u, int(v))
+                    consider(u, v)
                     attempts += 1
 
     sets.sort(key=lambda s: s.endpoints)
@@ -288,7 +274,7 @@ def _unique_path_within(
     u: int,
     v: int,
     max_len: int,
-    node_budget: int = 2000,
+    node_budget: int | None,
 ) -> Path | None:
     """The sole simple u-v path of <= max_len edges, or None.
 
@@ -296,6 +282,7 @@ def _unique_path_within(
     completion (current depth + BFS distance to u) exceeds the cap.
     Returns None when a second path turns up or the node budget runs out
     before uniqueness is proven, so every returned path is verified.
+    Without a budget the answer is exact.
     """
     found: list[tuple[int, ...]] = []
     visits = 0
@@ -322,7 +309,7 @@ def _unique_path_within(
         if du < 0 or edges_if_taken + du > max_len:
             continue
         visits += 1
-        if visits > node_budget:
+        if node_budget is not None and visits > node_budget:
             return None
         path.append(w)
         on_path.add(w)
@@ -343,31 +330,32 @@ def build_singlepath_pool(
 ) -> SinglePathSet:
     """Pairs with exactly one simple path within max_len.
 
-    Bridge-forest pairs within the cap are included without counting
+    Bridge-forest pairs within the cap are included without a search
     (uniqueness is structural). On small graphs every remaining pair in
-    range is verified by early-exit counting, so the pool matches the
-    brute-force definition. At scale the forest is topped up by sampling
-    random in-range pairs and keeping only those that pass the same
-    early-exit uniqueness check, so short caps still yield broad coverage
-    (for example hop-2 pairs whose endpoints share exactly one neighbor).
+    range goes through the unique-path search with no node budget, which
+    is exact, so the pool matches the brute-force definition. At scale the
+    forest is topped up by sampling random in-range pairs and keeping only
+    those that the same search, under a node budget, proves unique, so
+    short caps still yield broad coverage (for example hop-2 pairs whose
+    endpoints share exactly one neighbor).
     """
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), _SINGLE_TAG]))
     entries: list[tuple[tuple[int, int], Path]] = []
     seen: set[tuple[int, int]] = set()
 
     for pair, path in _bridge_forest_pairs(graph, max_len):
-        if pair not in seen:
-            seen.add(pair)
-            entries.append((pair, path))
+        seen.add(pair)
+        entries.append((pair, path))
 
     n = graph.num_nodes
     if n * (n - 1) // 2 <= EXHAUSTIVE_LIMIT:
-        extras = [pair for pair in _hop_ball_pairs(graph, max_len, 1) if pair not in seen]
-        for u, v in extras:
-            found = enumerate_simple_paths(graph, u, v, max_len, max_paths=2)
-            if len(found) == 1:
-                seen.add((u, v))
-                entries.append(((u, v), found[0]))
+        for u, dist, ball in _hop_balls(graph, max_len, 1):
+            dist_list = dist.tolist()
+            for v in ball:
+                if (u, v) not in seen:
+                    path = _unique_path_within(graph, dist_list, u, v, max_len, None)
+                    if path is not None:
+                        entries.append(((u, v), path))
     else:
         # Sampled verification. Accepted entries carry a proven-unique path
         # (pruned double-path search with a hard node budget), so
@@ -378,21 +366,18 @@ def build_singlepath_pool(
         misses = 0
         accepted = 0
         while accepted < max_pairs and budget > 0 and misses < 2000:
-            u = int(rng.integers(n))
-            dist = bfs_distances(graph, u, max_len)
-            eligible = np.nonzero((dist >= 1) & (dist <= max_len))[0]
-            if eligible.size == 0:
+            u, dist, picks = _draw_ball(graph, rng, max_len, 1, min(16, budget))
+            if not picks:
                 misses += 1
                 continue
             dist_list = dist.tolist()
-            take = min(16, int(eligible.size), budget)
-            for v in rng.choice(eligible, size=take, replace=False):
+            for v in picks:
                 budget -= 1
-                pair = (min(u, int(v)), max(u, int(v)))
+                pair = (min(u, v), max(u, v))
                 if pair in seen:
                     misses += 1
                     continue
-                path = _unique_path_within(graph, dist_list, u, int(v), max_len)
+                path = _unique_path_within(graph, dist_list, u, v, max_len, 2000)
                 if path is not None:
                     seen.add(pair)
                     entries.append((pair, path))

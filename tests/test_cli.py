@@ -246,6 +246,29 @@ class TestEval:
         assert code == EXIT_CONFIG
         assert f"metadata.json: missing key {key!r}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("edit,message", [
+        (lambda text: text[:text.index(",")], "not valid JSON"),
+        (lambda text: text.replace('"num_nodes": 16', '"num_nodes": "16"'),
+         "key 'num_nodes' must be a positive integer, got '16'"),
+        (lambda text: text.replace('"num_nodes": 16', '"num_nodes": 0'),
+         "key 'num_nodes' must be a positive integer, got 0"),
+        (lambda text: text.replace('"seed": ', '"seed": 1.5, "was": '),
+         "key 'seed' must be an integer, got 1.5"),
+        (lambda text: text.replace('"test_fraction": ', '"test_fraction": null, "was": '),
+         "key 'test_fraction' must be a number, got None"),
+    ], ids=["truncated", "num-nodes-string", "num-nodes-zero", "seed-float", "fraction-null"])
+    def test_malformed_split_metadata_exits_2(self, toy_run, capsys, edit, message):
+        path = toy_run / "split" / "metadata.json"
+        text = path.read_text()
+        assert '"num_nodes": 16' in text
+        path.write_text(edit(text))
+        code = main(["eval", "--checkpoint", str(toy_run / "checkpoint.npz"),
+                     "--split", str(toy_run / "split")])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "metadata.json: " in err
+        assert message in err
+
     @pytest.mark.parametrize("line,message", [
         ("7", "expected node and label"),
         ("0\tleft\tright", "expected node and label"),
@@ -336,6 +359,22 @@ class TestPrepare:
         run = tmp_path / "run"
         assert main(["train", "--config", str(cfg_path), "--out", str(run)]) == EXIT_OK
         assert json.loads((run / "split" / "metadata.json").read_text())["num_nodes"] == 9
+
+    def test_plain_layout_keeps_labeled_node_without_edges(self, tmp_path):
+        # node 3 is labeled but has no edge; it keeps its id and its label,
+        # numbered together with the edge list's ids
+        raw = tmp_path / "raw"
+        raw.mkdir()
+        (raw / "edges.txt").write_text("0 1\n1 2\n2 0\n10 11\n")
+        (raw / "labels.tsv").write_text("0\ta\n1\ta\n2\tb\n3\tb\n11\ta\n")
+        out = tmp_path / "prep"
+        assert main(["prepare", str(raw), "--out", str(out)]) == EXIT_OK
+        dataset = load_prepared(out)
+        assert dataset.graph.num_nodes == 6
+        np.testing.assert_array_equal(dataset.graph.edges, [[0, 1], [0, 2], [1, 2], [4, 5]])
+        np.testing.assert_array_equal(dataset.labels, [0, 0, 1, 1, -1, 0])
+        assert dataset.class_names == ["a", "b"]
+        assert dataset.graph.degree(3) == 0
 
     def test_unknown_layout_exits_2(self, tmp_path, capsys):
         raw = tmp_path / "raw"

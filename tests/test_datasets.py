@@ -115,6 +115,23 @@ def test_load_prepared_needs_num_nodes_in_meta(tmp_path):
         load_prepared(out)
 
 
+@pytest.mark.parametrize("edit,message", [
+    (lambda text: text[: len(text) // 2], "meta.json: not valid JSON"),
+    (lambda text: text.replace('"num_nodes": 30', '"num_nodes": "30"'),
+     "meta.json: key 'num_nodes' must be a positive integer, got '30'"),
+    (lambda text: text.replace('"num_nodes": 30', '"num_nodes": true'),
+     "meta.json: key 'num_nodes' must be a positive integer, got True"),
+], ids=["truncated", "num-nodes-string", "num-nodes-bool"])
+def test_load_prepared_rejects_malformed_meta(tmp_path, edit, message):
+    out = tmp_path / "prepared"
+    prepare_dataset(TOY_DIR, out, name="toy")
+    text = (out / "meta.json").read_text()
+    assert '"num_nodes": 30' in text
+    (out / "meta.json").write_text(edit(text))
+    with pytest.raises(GraphError, match=message):
+        load_prepared(out)
+
+
 def test_prepare_rejects_unknown_layout(tmp_path):
     raw = tmp_path / "raw"
     raw.mkdir()

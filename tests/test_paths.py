@@ -1,9 +1,13 @@
 """Path enumeration and pool construction against brute-force oracles."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
 import pathembed.paths
+from pathembed.datasets import synthetic_citation_graph
 from pathembed.graph import Graph
 from pathembed.paths import (
     MultiPathSet,
@@ -263,6 +267,42 @@ class TestSinglePathPool:
         g = Graph(6, np.array([[0, 1], [1, 2], [2, 3], [3, 4], [4, 5]]))
         pool = build_singlepath_pool(g, max_len=5, max_pairs=4, seed=1)
         assert len(pool.entries) == 4
+
+
+class TestPoolIdentity:
+    """The exact pools both builders return on a fixed stand-in.
+
+    Soundness tests pass for many different pools; this one pins which
+    pool is built, so a rework of candidate walks, draws or provers must
+    keep every pair, every path and the rng stream. The digests were
+    recorded with numpy 2.4's `Generator` streams (PCG64 under
+    `integers`, `choice` and `permutation`); a numpy that changes those
+    streams changes the sampled pools and these digests with them.
+    """
+
+    DIGESTS = {
+        "exhaustive": "c7572efa6ce4d05c753afc78803fc20830c1cb9f7783c96dcd88deb4e9d5c0cf",
+        "sampled": "80e1c364655cf2d57ba9c2b8807f1beb1d2028f1e68c57266ad1ee75a73bc899",
+    }
+
+    @staticmethod
+    def digest():
+        g, _ = synthetic_citation_graph(seed=3, num_nodes=150, num_edges=330, num_classes=4)
+        multi = build_multipath_pool(g, max_len=4, max_paths=3, max_pairs=600, seed=7,
+                                     path_budget=60)
+        single = build_singlepath_pool(g, max_len=5, max_pairs=400, seed=7)
+        capped = build_singlepath_pool(g, max_len=3, max_pairs=50, seed=7)
+        canon = {
+            "multi": [[list(s.endpoints), [list(p.nodes) for p in s.paths]] for s in multi],
+            "single": [[list(pair), list(p.nodes)] for pair, p in single.entries],
+            "capped": [[list(pair), list(p.nodes)] for pair, p in capped.entries],
+        }
+        return hashlib.sha256(json.dumps(canon, separators=(",", ":")).encode()).hexdigest()
+
+    def test_pools_match_recorded_digests(self, monkeypatch):
+        assert self.digest() == self.DIGESTS["exhaustive"]
+        monkeypatch.setattr(pathembed.paths, "EXHAUSTIVE_LIMIT", 0)
+        assert self.digest() == self.DIGESTS["sampled"]
 
 
 class TestValidatePath:
