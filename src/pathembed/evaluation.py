@@ -244,8 +244,15 @@ _TRIAL_SEED_STRIDE = 9973
 
 
 def _sweep_point(graph, base_cfg, param, value, trial, labels, val_fraction,
-                 test_fraction, classify_fraction):
-    from pathembed.training import train  # deferred: training imports this module
+                 test_fraction, classify_fraction, pools: list):
+    """One grid point's row. `pools` is a one-slot cache: [(pool key, pools)] or [].
+
+    A point whose train graph and pool arguments equal the cached key
+    trains on the cached pools; any other point empties the slot before
+    its build and fills it with its own pools.
+    """
+    # deferred: training imports this module
+    from pathembed.training import pool_arguments, train
 
     cfg = replace(base_cfg, seed=base_cfg.seed + _TRIAL_SEED_STRIDE * trial)
     if param == "train_fraction":
@@ -257,10 +264,14 @@ def _sweep_point(graph, base_cfg, param, value, trial, labels, val_fraction,
         cfg = replace(cfg, **{param: value})
         cfg.validate()
         split = split_edges(graph, val_fraction, test_fraction, cfg.seed)
-    result = train(
-        split.train_graph, cfg,
-        val_pos=split.val_pos, val_neg=split.val_neg,
-    )
+    tg = split.train_graph
+    key = (tg.num_nodes, tg.edges.tobytes(), *pool_arguments(cfg, tg))
+    if pools and pools[0][0] != key:
+        pools.clear()
+    multi_pool, single_pool = pools[0][1] if pools else (None, None)
+    result = train(tg, cfg, multi_pool=multi_pool, single_pool=single_pool,
+                   val_pos=split.val_pos, val_neg=split.val_neg)
+    pools[:] = [(key, (result.multi_pool, result.single_pool))]
     metrics = evaluate_split(result.state, split, cfg.backend)
     micro = float("nan")
     if labels is not None:
@@ -305,6 +316,12 @@ def sweep(
     varies the edge split instead: test takes what train gives up, with a
     fixed validation slice). Returns (rows, errors), both in grid order;
     a failing grid point is recorded in `errors` and the sweep continues.
+
+    Points run trial by trial, so the points of one trial follow each
+    other. A trial's split does not depend on `param` unless it is
+    "train_fraction", so consecutive points whose train graph and pool
+    arguments match train on the pools the first of them built.
+
     With `out`, the grid points whose rows that CSV already holds (see
     `read_sweep_rows`) are skipped and their rows returned as they are,
     and the file is rewritten in grid order after every point run, so an
@@ -312,26 +329,27 @@ def sweep(
     """
     if not values:
         raise ValueError("sweep needs a non-empty value grid")
-    points = [(v, t) for v in values for t in range(trials)]
-    keys = [(str(v), t) for v, t in points]
+    keys = [(str(v), t) for v in values for t in range(trials)]
     done = {}
     if out is not None and FilePath(out).exists():
         done = {(r["value"], r["trial"]): r for r in read_sweep_rows(out, param, values, trials)}
 
-    errors = []
-    for (value, trial), key in zip(points, keys):
+    failed = {}
+    pools: list = []
+    for trial, value in ((t, v) for t in range(trials) for v in values):
+        key = (str(value), trial)
         if key in done:
             continue
         try:
             done[key] = _sweep_point(
                 graph, base_cfg, param, value, trial, labels, val_fraction,
-                test_fraction, classify_fraction)
+                test_fraction, classify_fraction, pools)
         except Exception as exc:  # noqa: BLE001 - per-point isolation
             logger.warning("sweep point %s failed: %s", (value, trial), exc)
-            errors.append({"param": param, "value": value, "trial": trial, "error": str(exc)})
+            failed[key] = {"param": param, "value": value, "trial": trial, "error": str(exc)}
         if out is not None:
             write_sweep_csv([done[k] for k in keys if k in done], out)
-    return [done[k] for k in keys if k in done], errors
+    return [done[k] for k in keys if k in done], [failed[k] for k in keys if k in failed]
 
 
 def write_sweep_csv(rows: list[dict], path: str | FilePath) -> None:

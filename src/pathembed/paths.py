@@ -8,6 +8,12 @@ purely through bridge edges are provably unique-path at any length (a
 simple path that reaches the far side of a bridge must cross it, and it
 can only be at the bridge's near endpoint once), so the single-path
 builder takes them from the bridge forest without a search.
+
+Two distance shortcuts settle candidates from the BFS distances of their
+source, without a search. A pair whose shortest path is not unique has
+two paths within the cap, so it cannot enter the single-path pool. A
+pair at distance exactly max_len whose shortest path is unique has no
+other path within the cap, so it cannot enter the multi-path pool.
 """
 
 from __future__ import annotations
@@ -188,20 +194,38 @@ def _bridge_forest_pairs(graph: Graph, max_len: int):
 
 
 def _hop_balls(graph: Graph, max_len: int, min_dist: int):
-    """(u, BFS distances from u, every v > u at hop distance min_dist..max_len), u in order."""
+    """(u, BFS distances from u as a list, every v > u at hop distance min_dist..max_len)."""
     for u in range(graph.num_nodes):
         dist = bfs_distances(graph, u, max_len)  # -1 beyond max_len
-        yield u, dist, (np.nonzero(dist[u + 1:] >= min_dist)[0] + (u + 1)).tolist()
+        yield u, dist.tolist(), (np.nonzero(dist[u + 1:] >= min_dist)[0] + (u + 1)).tolist()
 
 
 def _draw_ball(graph: Graph, rng: np.random.Generator, max_len: int, min_dist: int, k: int):
-    """A random source u, its BFS distances and up to k distinct nodes in min_dist..max_len."""
+    """A random source u, its BFS distances as a list and up to k distinct nodes in range."""
     u = int(rng.integers(0, graph.num_nodes))
     dist = bfs_distances(graph, u, max_len)
     eligible = np.nonzero((dist >= min_dist) & (dist <= max_len))[0]
     if eligible.size == 0:
-        return u, dist, []
-    return u, dist, rng.choice(eligible, size=min(k, eligible.size), replace=False).tolist()
+        return u, dist.tolist(), []
+    picks = rng.choice(eligible, size=min(k, eligible.size), replace=False)
+    return u, dist.tolist(), picks.tolist()
+
+
+def _sole_shortest_path(graph: Graph, dist: list[int], v: int) -> tuple[int, ...] | None:
+    """The only shortest path from the BFS source of `dist` to v, or None if v has two.
+
+    Walks back from v one distance level at a time. Every node on the way
+    lies on a shortest path to v, so a node with two neighbors one level
+    closer to the source gives v two shortest paths.
+    """
+    adj = graph.adjacency
+    trail = [v]
+    for level in range(dist[v] - 1, -1, -1):
+        back = [w for w in adj[trail[-1]] if dist[w] == level]
+        if len(back) > 1:
+            return None
+        trail.append(back[0])
+    return tuple(reversed(trail))
 
 
 def build_multipath_pool(
@@ -217,17 +241,25 @@ def build_multipath_pool(
     Candidate pairs beyond the edges come from hop balls of radius
     max_len: enumerated exhaustively (rng-shuffled order) when the pair
     universe is small, sampled uniformly otherwise. Stops once max_pairs
-    sets qualify. Deterministic for a fixed seed.
+    sets qualify. Deterministic for a fixed seed. A candidate at distance
+    max_len with a unique shortest path is rejected without enumeration:
+    with one path found the reservoir draws nothing, so the rng stream and
+    the pool are those of enumerating it.
     """
+    if max_paths < 2:
+        raise ValueError("max_paths must be >= 2: a set needs two paths")
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), _MULTI_TAG]))
     sets: list[MultiPathSet] = []
     seen: set[tuple[int, int]] = set()
 
-    def consider(u: int, v: int) -> None:
+    def consider(u: int, v: int, dist: list[int] | None = None) -> None:
+        """Enumerate pair (u, v); `dist` holds the BFS distances from u, when known."""
         pair = (u, v) if u < v else (v, u)
         if pair in seen:
             return
         seen.add(pair)
+        if dist is not None and dist[v] == max_len and _sole_shortest_path(graph, dist, v):
+            return
         paths = enumerate_simple_paths(
             graph, pair[0], pair[1], max_len,
             max_paths=max_paths, rng=rng, max_expansions=path_budget,
@@ -243,7 +275,8 @@ def build_multipath_pool(
     n = graph.num_nodes
     if len(sets) < max_pairs:
         if n * (n - 1) // 2 <= EXHAUSTIVE_LIMIT:
-            candidates = [(u, v) for u, _, ball in _hop_balls(graph, max_len, 2) for v in ball]
+            candidates = [(u, v, dist) for u, dist, ball in _hop_balls(graph, max_len, 2)
+                          for v in ball]
             for k in rng.permutation(len(candidates)):
                 if len(sets) >= max_pairs:
                     break
@@ -251,14 +284,14 @@ def build_multipath_pool(
         else:
             attempts = 0
             while len(sets) < max_pairs and attempts < 8 * max_pairs:
-                u, _, picks = _draw_ball(graph, rng, max_len, 2, 8)
+                u, dist, picks = _draw_ball(graph, rng, max_len, 2, 8)
                 if not picks:
                     attempts += 8
                     continue
                 for v in picks:
                     if len(sets) >= max_pairs:
                         break
-                    consider(u, v)
+                    consider(u, v, dist)
                     attempts += 1
 
     sets.sort(key=lambda s: s.endpoints)
@@ -337,7 +370,9 @@ def build_singlepath_pool(
     forest is topped up by sampling random in-range pairs and keeping only
     those that the same search, under a node budget, proves unique, so
     short caps still yield broad coverage (for example hop-2 pairs whose
-    endpoints share exactly one neighbor).
+    endpoints share exactly one neighbor). Both branches reject a pair
+    with two shortest paths before searching: the search could only
+    reject it too, with or without the budget.
     """
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), _SINGLE_TAG]))
     entries: list[tuple[tuple[int, int], Path]] = []
@@ -350,10 +385,9 @@ def build_singlepath_pool(
     n = graph.num_nodes
     if n * (n - 1) // 2 <= EXHAUSTIVE_LIMIT:
         for u, dist, ball in _hop_balls(graph, max_len, 1):
-            dist_list = dist.tolist()
             for v in ball:
-                if (u, v) not in seen:
-                    path = _unique_path_within(graph, dist_list, u, v, max_len, None)
+                if (u, v) not in seen and _sole_shortest_path(graph, dist, v):
+                    path = _unique_path_within(graph, dist, u, v, max_len, None)
                     if path is not None:
                         entries.append(((u, v), path))
     else:
@@ -370,14 +404,15 @@ def build_singlepath_pool(
             if not picks:
                 misses += 1
                 continue
-            dist_list = dist.tolist()
             for v in picks:
                 budget -= 1
                 pair = (min(u, v), max(u, v))
                 if pair in seen:
                     misses += 1
                     continue
-                path = _unique_path_within(graph, dist_list, u, v, max_len, 2000)
+                path = None
+                if _sole_shortest_path(graph, dist, v):
+                    path = _unique_path_within(graph, dist, u, v, max_len, 2000)
                 if path is not None:
                     seen.add(pair)
                     entries.append((pair, path))

@@ -17,6 +17,7 @@ import json
 import logging
 import time
 from dataclasses import dataclass, field, fields
+from itertools import chain
 from pathlib import Path as FilePath
 
 import numpy as np
@@ -82,9 +83,11 @@ class TrainConfig:
         if self.learning_rate <= 0:
             raise ConfigError("learning_rate must be positive")
         for name in ("embedding_dim", "hidden_dim", "epochs", "batch_pairs",
-                     "max_len", "max_paths", "mc_samples", "patience"):
+                     "max_len", "mc_samples", "patience"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
+        if self.max_paths < 2:
+            raise ConfigError("max_paths must be >= 2: a multi-path set needs two paths")
         for name in ("max_pairs", "path_budget"):
             if getattr(self, name) is not None and getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1 when set")
@@ -190,20 +193,23 @@ class CompiledSingle:
 
 
 def compile_multipath(pool: list[MultiPathSet]) -> CompiledMulti:
-    num_paths = [len(s.paths) for s in pool]
-    u, v, path, a, b, edge_counts = [], [], [], [], [], []
-    for s, n in zip(pool, num_paths):
-        first = len(u)
-        for k, p in enumerate(s.paths):
-            u.extend(p.nodes[:-1])
-            v.extend(p.nodes[1:])
-            path.extend([k] * (len(p.nodes) - 1))
-            a.extend([k] * (n - 1 - k))
-            b.extend(range(k + 1, n))
-        edge_counts.append(len(u) - first)
-    return CompiledMulti(np.asarray(num_paths, dtype=np.int64),
-                         Ragged.pack(edge_counts, u, v, path),
-                         Ragged.pack([n * (n - 1) // 2 for n in num_paths], a, b))
+    num_paths = np.array([len(s.paths) for s in pool], dtype=np.int64)
+    if not pool:
+        return CompiledMulti(num_paths, Ragged.pack([], [], [], []), Ragged.pack([], [], []))
+    nodes = [p.nodes for s in pool for p in s.paths]
+    sizes = np.array([len(p) for p in nodes], dtype=np.int64)
+    flat = np.fromiter(chain.from_iterable(nodes), dtype=np.int64, count=int(sizes.sum()))
+    ends = np.cumsum(sizes)
+    # each path's nodes minus its last are its edge starts, minus its first its edge ends
+    u, v = np.delete(flat, ends - 1), np.delete(flat, ends - sizes)
+    path = np.repeat(np.arange(len(nodes)) - np.repeat(_starts(num_paths), num_paths),
+                     sizes - 1)
+    # every unordered path pair (a, b), a < b, in row-major order
+    triu = {n: np.triu_indices(n, 1) for n in np.unique(num_paths).tolist()}
+    a, b = (np.concatenate([triu[n][k] for n in num_paths.tolist()]) for k in (0, 1))
+    return CompiledMulti(num_paths,
+                         Ragged.pack(np.add.reduceat(sizes - 1, _starts(num_paths)), u, v, path),
+                         Ragged.pack(num_paths * (num_paths - 1) // 2, a, b))
 
 
 def compile_singlepath(pool: SinglePathSet, graph: Graph) -> CompiledSingle:
@@ -528,6 +534,8 @@ class TrainResult:
     state: ModelState
     history: list[dict]
     metadata: dict
+    multi_pool: list[MultiPathSet]    # the pools trained on, passed in or built
+    single_pool: SinglePathSet
 
 
 def train(
@@ -654,7 +662,8 @@ def train(
         "wall_time_s": round(time.time() - start, 3),
         "best_val_auc": best_val,
     }
-    return TrainResult(state=state, history=history, metadata=metadata)
+    return TrainResult(state=state, history=history, metadata=metadata,
+                       multi_pool=multi_pool, single_pool=single_pool)
 
 
 def _arrays(state: ModelState) -> dict[str, np.ndarray]:

@@ -1,8 +1,11 @@
 """Ranking metrics against brute-force oracles, classifier checks, sweeps."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+import pathembed.training
 from pathembed.evaluation import (
     ClassifierReport,
     _f1_report,
@@ -339,11 +342,10 @@ def test_sweep_single_point_emits_one_row_per_trial():
 
 def test_sweep_isolates_failing_grid_points():
     g = sweep_graph()
-    rows, errors = sweep(g, sweep_cfg(), "embedding_dim", [3, -1], trials=1)
-    assert len(rows) == 1
-    assert rows[0]["value"] == 3
-    assert len(errors) == 1
-    assert errors[0]["value"] == -1
+    rows, errors = sweep(g, sweep_cfg(), "embedding_dim", [-1, 3, -2, 4], trials=2)
+    # points run trial by trial; rows and errors come back in grid order
+    assert [(r["value"], r["trial"]) for r in rows] == [(3, 0), (3, 1), (4, 0), (4, 1)]
+    assert [(e["value"], e["trial"]) for e in errors] == [(-1, 0), (-1, 1), (-2, 0), (-2, 1)]
 
 
 def test_sweep_train_fraction_changes_split():
@@ -365,6 +367,42 @@ def test_sweep_reports_classification_with_labels():
                          labels=labels, classify_fraction=0.3)
     assert errors == []
     assert 0.0 <= rows[0]["micro_f1"] <= 1.0
+
+
+def count_pool_builds(monkeypatch) -> dict:
+    """Count the builds that train() makes, by builder."""
+    builds = {"multi": 0, "single": 0}
+    for kind, name in (("multi", "build_multipath_pool"), ("single", "build_singlepath_pool")):
+        def counted(*args, _build=getattr(pathembed.training, name), _kind=kind, **kwargs):
+            builds[_kind] += 1
+            return _build(*args, **kwargs)
+        monkeypatch.setattr(pathembed.training, name, counted)
+    return builds
+
+
+def test_sweep_builds_pools_once_per_split_and_matches_direct_training(monkeypatch):
+    g = sweep_graph()
+    base = sweep_cfg(embedding_dim=4)
+    builds = count_pool_builds(monkeypatch)
+    rows, errors = sweep(g, base, "embedding_dim", [3, 5], trials=2)
+    assert errors == []
+    assert builds == {"multi": 2, "single": 2}  # one per trial's split
+    assert [(r["value"], r["trial"]) for r in rows] == [(3, 0), (3, 1), (5, 0), (5, 1)]
+    for row in rows:
+        cfg = replace(base, embedding_dim=row["value"], seed=9973 * row["trial"])
+        split = split_edges(g, 0.05, 0.10, cfg.seed)
+        result = pathembed.training.train(split.train_graph, cfg, val_pos=split.val_pos,
+                                          val_neg=split.val_neg)
+        metrics = evaluate_split(result.state, split, cfg.backend)
+        assert (row["auc"], row["ap"]) == (metrics["test_auc"], metrics["test_ap"])
+
+
+def test_sweep_builds_pools_for_every_train_fraction(monkeypatch):
+    builds = count_pool_builds(monkeypatch)
+    rows, errors = sweep(sweep_graph(), sweep_cfg(), "train_fraction", [0.5, 0.8], trials=2,
+                         val_fraction=0.1)
+    assert errors == [] and len(rows) == 4
+    assert builds == {"multi": 4, "single": 4}
 
 
 def test_sweep_rejects_empty_grid():

@@ -13,6 +13,7 @@ from pathembed.paths import (
     MultiPathSet,
     Path,
     SinglePathSet,
+    _sole_shortest_path,
     bfs_distances,
     build_multipath_pool,
     build_singlepath_pool,
@@ -183,6 +184,10 @@ class TestMultiPathPool:
         b = build_multipath_pool(g, 3, 4, 50, seed=9)
         assert a == b
 
+    def test_fewer_than_two_stored_paths_is_refused(self):
+        with pytest.raises(ValueError, match="max_paths"):
+            build_multipath_pool(cycle_graph(4), max_len=3, max_paths=1, max_pairs=10, seed=0)
+
     def test_sampled_mode_still_valid(self, monkeypatch):
         # force the sampled candidate generator with a tiny exhaustive limit
         monkeypatch.setattr(pathembed.paths, "EXHAUSTIVE_LIMIT", 1)
@@ -267,6 +272,77 @@ class TestSinglePathPool:
         g = Graph(6, np.array([[0, 1], [1, 2], [2, 3], [3, 4], [4, 5]]))
         pool = build_singlepath_pool(g, max_len=5, max_pairs=4, seed=1)
         assert len(pool.entries) == 4
+
+
+class TestDistanceShortcuts:
+    """Verdicts read off BFS distances, against exhaustive enumeration."""
+
+    def test_sole_shortest_path_verdicts_match_enumeration(self):
+        rng = np.random.default_rng(18)
+        verdicts = {"one path at the cap": 0, "two shortest paths": 0}
+        for _ in range(60):
+            g = random_graph(rng, n_max=9, p=0.45)
+            max_len = int(rng.integers(1, 6))
+            for u in range(g.num_nodes):
+                dist = bfs_distances(g, u, max_len).tolist()
+                for v in range(g.num_nodes):
+                    if v == u or dist[v] < 0:
+                        continue
+                    paths = [p.nodes for p in enumerate_simple_paths(g, u, v, max_len)]
+                    sole = _sole_shortest_path(g, dist, v)
+                    shortest = [p for p in paths if len(p) - 1 == dist[v]]
+                    if sole is None:
+                        # the multi-path builder keeps it, the single-path builder skips it
+                        assert len(shortest) >= 2 and len(paths) >= 2
+                        verdicts["two shortest paths"] += 1
+                    else:
+                        assert shortest == [sole]
+                        if dist[v] == max_len:
+                            # the multi-path builder skips it
+                            assert paths == [sole]
+                            verdicts["one path at the cap"] += 1
+        assert min(verdicts.values()) > 50
+
+    @pytest.mark.parametrize("limit", [pathembed.paths.EXHAUSTIVE_LIMIT, 0],
+                             ids=["exhaustive", "sampled"])
+    def test_pools_equal_those_built_by_searching_every_candidate(self, monkeypatch, limit):
+        """Both builders, with the shortcuts and with every candidate searched."""
+        monkeypatch.setattr(pathembed.paths, "EXHAUSTIVE_LIMIT", limit)
+        searches = {"dfs": 0, "proofs": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                searches[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(pathembed.paths, "enumerate_simple_paths",
+                            counted("dfs", enumerate_simple_paths))
+        monkeypatch.setattr(pathembed.paths, "_unique_path_within",
+                            counted("proofs", pathembed.paths._unique_path_within))
+        rng = np.random.default_rng(19)
+        fast, slow = {"dfs": 0, "proofs": 0}, {"dfs": 0, "proofs": 0}
+        for _ in range(25):
+            g = random_graph(rng, n_max=12, p=0.35)
+            max_len = int(rng.integers(2, 6))
+            seed = int(rng.integers(1000))
+            searches.update(dfs=0, proofs=0)
+            multi = build_multipath_pool(g, max_len, 4, 30, seed=seed, path_budget=40)
+            single = build_singlepath_pool(g, max_len, 30, seed=seed)
+            for key in fast:
+                fast[key] += searches[key]
+            searches.update(dfs=0, proofs=0)
+            with monkeypatch.context() as patch:
+                # a verdict of "two shortest paths" skips no multi-path candidate
+                patch.setattr(pathembed.paths, "_sole_shortest_path", lambda *a: None)
+                assert build_multipath_pool(g, max_len, 4, 30, seed=seed,
+                                            path_budget=40) == multi
+                # a verdict of "one shortest path" below the cap skips no single-path one
+                patch.setattr(pathembed.paths, "_sole_shortest_path", lambda g, d, v: (v,))
+                assert build_singlepath_pool(g, max_len, 30, seed=seed) == single
+            for key in slow:
+                slow[key] += searches[key]
+        assert fast["dfs"] < slow["dfs"] and fast["proofs"] < slow["proofs"]
 
 
 class TestPoolIdentity:

@@ -86,6 +86,7 @@ def test_config_defaults_are_valid():
         ("embedding_dim", 0),
         ("max_len", 0),
         ("max_paths", 0),
+        ("max_paths", 1),
         ("mc_samples", 0),
         ("patience", 0),
         ("max_pairs", 0),
@@ -164,6 +165,43 @@ def test_compile_multipath_flat_layout():
         assert count[0] >= 1
         # comparisons name paths of their own set, by local id
         assert np.all((0 <= a) & (a < b) & (b < n))
+
+
+def _loop_compile_multipath(pool):
+    """compile_multipath's layout built path by path, as the reference."""
+    u, v, path, a, b, edge_counts = [], [], [], [], [], []
+    for s in pool:
+        n, first = len(s.paths), len(u)
+        for k, p in enumerate(s.paths):
+            u.extend(p.nodes[:-1])
+            v.extend(p.nodes[1:])
+            path.extend([k] * (len(p.nodes) - 1))
+            a.extend([k] * (n - 1 - k))
+            b.extend(range(k + 1, n))
+        edge_counts.append(len(u) - first)
+    return ([len(s.paths) for s in pool], edge_counts, (u, v, path),
+            [len(s.paths) * (len(s.paths) - 1) // 2 for s in pool], (a, b))
+
+
+def test_compile_multipath_matches_loop_reference():
+    rng = np.random.default_rng(21)
+    pools = [[]]
+    for _ in range(12):
+        n = int(rng.integers(4, 12))
+        edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.45]
+        g = Graph(n, np.array(edges, dtype=np.int64).reshape(-1, 2))
+        pools.append(build_multipath_pool(g, int(rng.integers(2, 5)), int(rng.integers(2, 6)),
+                                          40, seed=int(rng.integers(100))))
+    assert any(pools[1:])
+    for pool in pools:
+        cm = compile_multipath(pool)
+        num_paths, edge_counts, edge_cols, cmp_counts, cmp_cols = _loop_compile_multipath(pool)
+        for got, want in ((cm.num_paths, num_paths),
+                          (cm.edges.ptr, np.cumsum([0, *edge_counts])),
+                          (cm.cmps.ptr, np.cumsum([0, *cmp_counts])),
+                          *zip(cm.edges.cols, edge_cols), *zip(cm.cmps.cols, cmp_cols)):
+            assert got.dtype == np.int64
+            assert np.array_equal(got, np.asarray(want, dtype=np.int64))
 
 
 def test_compile_singlepath_skips_graph_adjacent_terms():
@@ -594,6 +632,19 @@ def test_train_is_deterministic():
     assert r1.history == r2.history
     for name in r1.state.metric_params:
         assert np.array_equal(r1.state.metric_params[name], r2.state.metric_params[name])
+
+
+def test_train_returns_its_pools_and_trains_the_same_on_them():
+    g = Graph(14, CYCLES_WITH_TAILS)
+    cfg = small_cfg(epochs=2)
+    built = train(g, cfg)
+    multi_args, single_args = pool_arguments(cfg, g)
+    assert built.multi_pool == build_multipath_pool(g, **multi_args)
+    assert built.single_pool == build_singlepath_pool(g, **single_args)
+    given = train(g, cfg, multi_pool=built.multi_pool, single_pool=built.single_pool)
+    assert given.multi_pool is built.multi_pool and given.single_pool is built.single_pool
+    assert given.history == built.history
+    assert np.array_equal(given.state.embeddings.values, built.state.embeddings.values)
 
 
 def test_train_runs_expected_step_count():
