@@ -20,7 +20,6 @@ from pathembed.evaluation import (
     average_precision_score,
     classify_nodes,
     evaluate_split,
-    score_pair,
     score_pairs,
     sweep,
     write_sweep_csv,
@@ -31,7 +30,6 @@ from pathembed.graph import (
     GraphError,
     LabeledDataset,
     load_dataset,
-    load_edge_list,
     load_split,
     save_split,
     split_edges,
@@ -85,13 +83,11 @@ __all__ = [
     "init_state",
     "load_checkpoint",
     "load_dataset",
-    "load_edge_list",
     "load_prepared",
     "load_split",
     "prepare_dataset",
     "save_checkpoint",
     "save_split",
-    "score_pair",
     "score_pairs",
     "split_edges",
     "sweep",

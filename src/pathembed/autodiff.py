@@ -187,20 +187,19 @@ class Tensor:
 
     # -- reductions --------------------------------------------------
 
-    def sum(self, axis: int | None = None, keepdims: bool = False) -> "Tensor":
-        out_data = self.data.sum(axis=axis, keepdims=keepdims)
+    def sum(self, axis: int | None = None) -> "Tensor":
+        out_data = self.data.sum(axis=axis)
         shape = self.data.shape
 
         def vjp(g: Array):
-            if axis is not None and not keepdims:
+            if axis is not None:
                 g = np.expand_dims(g, axis)
             return (np.broadcast_to(g, shape).copy(),)
 
         return Tensor(out_data, _parents=(self,), _vjp=vjp)
 
-    def mean(self, axis: int | None = None) -> "Tensor":
-        count = self.data.size if axis is None else self.data.shape[axis]
-        return self.sum(axis=axis) * (1.0 / count)
+    def mean(self) -> "Tensor":
+        return self.sum() * (1.0 / self.data.size)
 
 
 def _wrap(x) -> Tensor:

@@ -2,8 +2,8 @@
 
 A run is described by one YAML file with nested sections. Every field has
 a default; the fully resolved configuration (defaults included) is echoed
-into run metadata so a run directory is self-describing. Loading then
-dumping then loading again yields the same configuration.
+into run metadata so a run directory is self-describing. A dumped
+`cfg.to_dict()` reloads to the same configuration.
 
 Sections:
 
@@ -167,7 +167,3 @@ def load_config(path: str | FilePath) -> RunConfig:
         raise ConfigError(f"config file {path} is not valid YAML: {exc}") from exc
     return from_mapping(data or {})
 
-
-def save_config(cfg: RunConfig, path: str | FilePath) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        yaml.safe_dump(cfg.to_dict(), fh, sort_keys=True, default_flow_style=False)

@@ -25,18 +25,18 @@ from pathlib import Path as FilePath
 import numpy as np
 
 from pathembed.graph import (Graph, LabeledDataset, load_dataset, load_labels,
-                             read_meta, read_pairs, save_labels, write_pairs)
+                             number_tokens, read_meta, read_pairs, save_labels,
+                             write_pairs)
 
 logger = logging.getLogger(__name__)
 
-# published node/edge/label counts for the supported archives, plus the
-# path-length cap each graph is normally run with
+# published node/edge/label counts for the supported archives
 DATASET_STATS = {
-    "cora": {"nodes": 2708, "edges": 5429, "labels": 7, "max_len": 10},
-    "dblp": {"nodes": 17716, "edges": 105734, "labels": 4, "max_len": 20},
-    "blogcatalog": {"nodes": 5196, "edges": 171743, "labels": 6, "max_len": 20},
-    "flickr": {"nodes": 7575, "edges": 239738, "labels": 9, "max_len": 20},
-    "pubmed": {"nodes": 19717, "edges": 44338, "labels": 3, "max_len": 10},
+    "cora": {"nodes": 2708, "edges": 5429, "labels": 7},
+    "dblp": {"nodes": 17716, "edges": 105734, "labels": 4},
+    "blogcatalog": {"nodes": 5196, "edges": 171743, "labels": 6},
+    "flickr": {"nodes": 7575, "edges": 239738, "labels": 9},
+    "pubmed": {"nodes": 19717, "edges": 44338, "labels": 3},
 }
 
 
@@ -74,8 +74,8 @@ def load_citation_archive(raw_dir: str | FilePath):
     """Parse `<name>.content` + `<name>.cites` into a labeled graph.
 
     Returns (graph, labels, class_names, report). Node ids are assigned
-    in sorted order of the raw identifiers (numeric when possible), and
-    citations become undirected edges.
+    by `graph.number_tokens`, as for an edge list, and citations become
+    undirected edges.
     """
     raw_dir = FilePath(raw_dir)
     content_files = sorted(raw_dir.glob("*.content"))
@@ -103,15 +103,10 @@ def load_citation_archive(raw_dir: str | FilePath):
                 )
             raw_labels[node_id] = label
 
-    ids = list(raw_labels)
-    try:
-        ids.sort(key=int)
-    except ValueError:
-        ids.sort()
-    id_map = {raw: idx for idx, raw in enumerate(ids)}
+    id_map = number_tokens(raw_labels)
     class_names = sorted(set(raw_labels.values()))
     class_map = {name: idx for idx, name in enumerate(class_names)}
-    labels = np.array([class_map[raw_labels[raw]] for raw in ids], dtype=np.int64)
+    labels = np.array([class_map[raw_labels[raw]] for raw in id_map], dtype=np.int64)
 
     rows = []
     raw_rows = 0
@@ -131,7 +126,7 @@ def load_citation_archive(raw_dir: str | FilePath):
                 unknown_endpoints += 1
                 continue
             rows.append((id_map[a], id_map[b]))
-    graph = Graph(len(ids), np.array(rows, dtype=np.int64).reshape(-1, 2))
+    graph = Graph(len(id_map), np.array(rows, dtype=np.int64).reshape(-1, 2))
     report = {
         "content_file": content_path.name,
         "cites_file": cites_path.name,
@@ -370,10 +365,3 @@ def synthetic_citation_graph(
     graph = Graph(num_nodes, np.array(edges, dtype=np.int64))
     return graph, labels
 
-
-def edge_homophily(graph: Graph, labels: np.ndarray) -> float:
-    """Fraction of edges whose endpoints share a label."""
-    if graph.num_edges == 0:
-        return 0.0
-    u, v = graph.edges[:, 0], graph.edges[:, 1]
-    return float((labels[u] == labels[v]).mean())

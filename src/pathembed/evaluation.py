@@ -28,8 +28,6 @@ logger = logging.getLogger(__name__)
 class ClassifierReport:
     micro_f1: float
     macro_f1: float
-    per_class_precision: tuple[float, ...]
-    per_class_recall: tuple[float, ...]
     train_fraction: float
     repeats: int
 
@@ -55,10 +53,6 @@ def score_pairs(state, pairs: np.ndarray, backend: str) -> np.ndarray:
     if metric.symmetric:
         return -magnitude(u, v)
     return -0.5 * (magnitude(u, v) + magnitude(v, u))
-
-
-def score_pair(state, i: int, j: int, backend: str) -> float:
-    return float(score_pairs(state, np.array([[i, j]]), backend)[0])
 
 
 # -- ranking metrics -----------------------------------------------------------
@@ -166,7 +160,7 @@ def _f1_report(y_true: np.ndarray, y_pred: np.ndarray, num_classes: int):
     micro = 2 * tp.sum() / denom if denom > 0 else 0.0
     pc_denom = precision + recall
     per_class_f1 = np.where(pc_denom > 0, 2 * precision * recall / np.where(pc_denom > 0, pc_denom, 1.0), 0.0)
-    return float(micro), float(per_class_f1.mean()), precision, recall
+    return float(micro), float(per_class_f1.mean())
 
 
 def classify_nodes(
@@ -197,8 +191,6 @@ def classify_nodes(
         raise ValueError("train_fraction leaves no evaluation nodes")
 
     micro_list, macro_list = [], []
-    prec_acc = np.zeros(num_classes)
-    rec_acc = np.zeros(num_classes)
     for rep in range(repeats):
         rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0xC1A5, rep]))
         train_idx = None
@@ -222,16 +214,12 @@ def classify_nodes(
             wb = _fit_logistic(Xs[train_idx], y[train_idx] == c)
             decision[:, c] = Xs[test_idx] @ wb[:-1] + wb[-1]
         y_pred = decision.argmax(axis=1)
-        micro, macro, prec, rec = _f1_report(y[test_idx], y_pred, num_classes)
+        micro, macro = _f1_report(y[test_idx], y_pred, num_classes)
         micro_list.append(micro)
         macro_list.append(macro)
-        prec_acc += prec
-        rec_acc += rec
     return ClassifierReport(
         micro_f1=float(np.mean(micro_list)),
         macro_f1=float(np.mean(macro_list)),
-        per_class_precision=tuple(prec_acc / repeats),
-        per_class_recall=tuple(rec_acc / repeats),
         train_fraction=train_fraction,
         repeats=repeats,
     )

@@ -53,12 +53,6 @@ class Graph:
     def num_edges(self) -> int:
         return int(self.edges.shape[0])
 
-    def neighbors(self, u: int) -> np.ndarray:
-        return np.array(self.adjacency[u], dtype=np.int64)
-
-    def degree(self, u: int) -> int:
-        return len(self.adjacency[u])
-
     def has_edge(self, u: int, v: int) -> bool:
         if u == v:
             return False
@@ -140,12 +134,6 @@ class LabeledDataset:
             return 0
         return int(self.labels.max(initial=-1)) + 1
 
-    @property
-    def label_coverage(self) -> float:
-        if self.labels is None:
-            return 0.0
-        return float((self.labels >= 0).mean())
-
     def __post_init__(self):
         if self.labels is not None:
             self.labels = np.asarray(self.labels, dtype=np.int64)
@@ -172,19 +160,23 @@ class EdgeSplit:
 # -- loading ---------------------------------------------------------------
 
 
-def load_edge_list(path: str | FilePath) -> tuple[Graph, dict]:
-    """Parse a whitespace-separated edge list; '#' starts a comment line.
-
-    Node ids may be arbitrary tokens; they are remapped to dense 0..N-1
-    (numeric sort when every token is an integer, else lexicographic).
-    Returns (graph, report) where the report records the id map and the
-    number of duplicates and self-loops dropped.
-    """
-    return _load_edge_list(path, set())
+def number_tokens(tokens) -> dict[str, int]:
+    """Dense ids 0..N-1 for raw node tokens in sorted order: numeric (equal
+    numbers by text) when every token is an optional '-' followed by digits,
+    else lexicographic, so one token such as '+1' makes the whole set text."""
+    numeric = all(t.removeprefix("-").isdecimal() for t in tokens)
+    key = (lambda t: (int(t), t)) if numeric else None
+    return {tok: i for i, tok in enumerate(sorted(tokens, key=key))}
 
 
 def _load_edge_list(path: str | FilePath, tokens: set[str]) -> tuple[Graph, dict]:
-    """`load_edge_list`, numbering the extra node `tokens` together with the edges'."""
+    """Parse a whitespace-separated edge list; '#' starts a comment line.
+
+    Node ids may be arbitrary tokens; together with the extra node
+    `tokens` they are remapped to dense 0..N-1 by `number_tokens`.
+    Returns (graph, report) where the report records the id map and the
+    number of duplicates and self-loops dropped.
+    """
     raw_edges: list[tuple[str, str]] = []
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -199,13 +191,10 @@ def _load_edge_list(path: str | FilePath, tokens: set[str]) -> tuple[Graph, dict
     if not raw_edges:
         raise GraphError(f"{path}: no edges found")
 
-    numeric = all(t.lstrip("-").isdigit() for t in tokens)
-    ordered = sorted(tokens, key=int if numeric else None)
-    id_map = {tok: i for i, tok in enumerate(ordered)}
-
+    id_map = number_tokens(tokens)
     pairs = np.array([(id_map[a], id_map[b]) for a, b in raw_edges], dtype=np.int64)
     self_loops = int((pairs[:, 0] == pairs[:, 1]).sum())
-    graph = Graph(len(ordered), pairs)
+    graph = Graph(len(id_map), pairs)
     duplicates = len(raw_edges) - self_loops - graph.num_edges
     report = {
         "num_nodes": graph.num_nodes,

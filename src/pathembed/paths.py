@@ -70,14 +70,14 @@ def validate_path(graph: Graph, path: Path) -> None:
             raise ValueError(f"non-adjacent step {a}-{b} in {nodes}")
 
 
-def bfs_distances(graph: Graph, source: int, max_hops: int | None = None) -> np.ndarray:
+def bfs_distances(graph: Graph, source: int, max_hops: int) -> list[int]:
     """Hop distance from source to every node (-1 beyond max_hops)."""
     adj = graph.adjacency
     dist = [-1] * graph.num_nodes
     dist[source] = 0
     frontier = [int(source)]
     hops = 0
-    while frontier and (max_hops is None or hops < max_hops):
+    while frontier and hops < max_hops:
         hops += 1
         reached = []
         for u in frontier:
@@ -86,7 +86,7 @@ def bfs_distances(graph: Graph, source: int, max_hops: int | None = None) -> np.
                     dist[v] = hops
                     reached.append(v)
         frontier = reached
-    return np.asarray(dist, dtype=np.int64)
+    return dist
 
 
 def enumerate_simple_paths(
@@ -100,35 +100,31 @@ def enumerate_simple_paths(
 ) -> list[Path]:
     """All simple i-j paths of <= max_len edges, depth-first, sorted.
 
-    Two capping modes. Without an rng the search stops as soon as
-    max_paths paths are found (deterministic first-k in DFS order). With
-    an rng the search enumerates fully and keeps a uniform reservoir of
-    max_paths. `max_expansions` bounds the
-    number of DFS descents on large graphs; when it binds, the result is
-    the paths discovered within the budget.
+    With max_paths (which needs an rng) the search enumerates every path
+    and keeps a uniform reservoir of max_paths of them.
+    `max_expansions` bounds the number of DFS descents on large graphs;
+    when it binds, the result is the paths discovered within the budget.
     """
     i, j = int(i), int(j)
     if i == j:
         raise ValueError("endpoints must differ")
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
+    if max_paths is not None and rng is None:
+        raise ValueError("max_paths needs an rng to draw the reservoir")
     found: list[tuple[int, ...]] = []
     seen_count = 0
     expansions = 0
-    early_exit = rng is None and max_paths is not None
 
-    def hit() -> bool:
-        """Record the current path plus j; True once the early exit is due."""
+    def hit() -> None:
+        """Record the current path plus j."""
         nonlocal seen_count
         record = tuple(path) + (j,)
         seen_count += 1
         if max_paths is None or len(found) < max_paths:
             found.append(record)
-            return early_exit and len(found) >= max_paths
-        slot = int(rng.integers(0, seen_count))
-        if slot < max_paths:
+        elif (slot := int(rng.integers(0, seen_count))) < max_paths:
             found[slot] = record
-        return False
 
     adj = graph.adjacency
     path = [i]
@@ -139,8 +135,8 @@ def enumerate_simple_paths(
                                     and expansions >= max_expansions):
             # no descent is allowed from here: only a direct hit on j can
             # remain among this node's neighbors
-            if j in stack[-1] and len(path) <= max_len and hit():
-                break
+            if j in stack[-1] and len(path) <= max_len:
+                hit()
             stack.pop()
             on_path.discard(path.pop())
             continue
@@ -150,8 +146,8 @@ def enumerate_simple_paths(
             on_path.discard(path.pop())
             continue
         if v == j:
-            if len(path) <= max_len and hit():
-                break
+            if len(path) <= max_len:
+                hit()
             continue
         if v in on_path:
             continue
@@ -194,21 +190,21 @@ def _bridge_forest_pairs(graph: Graph, max_len: int):
 
 
 def _hop_balls(graph: Graph, max_len: int, min_dist: int):
-    """(u, BFS distances from u as a list, every v > u at hop distance min_dist..max_len)."""
+    """(u, BFS distances from u, every v > u at hop distance min_dist..max_len)."""
     for u in range(graph.num_nodes):
         dist = bfs_distances(graph, u, max_len)  # -1 beyond max_len
-        yield u, dist.tolist(), (np.nonzero(dist[u + 1:] >= min_dist)[0] + (u + 1)).tolist()
+        yield u, dist, (np.flatnonzero(np.array(dist[u + 1:]) >= min_dist) + (u + 1)).tolist()
 
 
 def _draw_ball(graph: Graph, rng: np.random.Generator, max_len: int, min_dist: int, k: int):
-    """A random source u, its BFS distances as a list and up to k distinct nodes in range."""
+    """A random source u, its BFS distances and up to k distinct nodes in range."""
     u = int(rng.integers(0, graph.num_nodes))
-    dist = bfs_distances(graph, u, max_len)
-    eligible = np.nonzero((dist >= min_dist) & (dist <= max_len))[0]
+    dist = bfs_distances(graph, u, max_len)  # -1 beyond max_len
+    eligible = np.flatnonzero(np.array(dist) >= min_dist)
     if eligible.size == 0:
-        return u, dist.tolist(), []
+        return u, dist, []
     picks = rng.choice(eligible, size=min(k, eligible.size), replace=False)
-    return u, dist.tolist(), picks.tolist()
+    return u, dist, picks.tolist()
 
 
 def _sole_shortest_path(graph: Graph, dist: list[int], v: int) -> tuple[int, ...] | None:

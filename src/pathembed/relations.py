@@ -25,7 +25,6 @@ import numpy as np
 
 from pathembed.autodiff import Tensor, concat, gather_rows, l2norm_rows, pair_distance
 
-DEFAULT_HIDDEN = 128
 LOGVAR_MIN, LOGVAR_MAX = -10.0, 10.0
 
 LOG_2PI = float(np.log(2.0 * np.pi))
@@ -60,7 +59,7 @@ def _lookup(backend: str) -> "Backend":
 
 
 def init_metric_params(
-    backend: str, k: int, rng: np.random.Generator, hidden: int = DEFAULT_HIDDEN
+    backend: str, k: int, rng: np.random.Generator, hidden: int
 ) -> dict[str, np.ndarray]:
     """Fan-in uniform weights, zero biases, only the groups a backend needs."""
     params: dict[str, np.ndarray] = {}

@@ -10,7 +10,7 @@ import yaml
 import pathembed.cli
 import pathembed.training
 from pathembed.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
-from pathembed.config import RunConfig, from_mapping, load_config, save_config
+from pathembed.config import RunConfig, from_mapping, load_config
 from pathembed.datasets import load_citation_archive, load_prepared
 from pathembed.training import ConfigError
 
@@ -64,10 +64,10 @@ class TestConfig:
     def test_round_trip_is_lossless(self, tmp_path):
         first = from_mapping(toy_config())
         path = tmp_path / "echo.yaml"
-        save_config(first, path)
+        write_yaml(path, first.to_dict())
         second = load_config(path)
         assert second.to_dict() == first.to_dict()
-        save_config(second, tmp_path / "echo2.yaml")
+        write_yaml(tmp_path / "echo2.yaml", second.to_dict())
         assert (tmp_path / "echo2.yaml").read_bytes() == path.read_bytes()
 
     def test_unknown_keys_rejected(self):
@@ -351,7 +351,7 @@ class TestPrepare:
         np.testing.assert_array_equal(dataset.graph.edges, graph.edges)
         np.testing.assert_array_equal(dataset.labels, labels)
         assert dataset.class_names == class_names
-        assert dataset.graph.degree(7) == 0 and class_names[labels[7]] == "db"
+        assert dataset.graph.adjacency[7] == [] and class_names[labels[7]] == "db"
         cfg_path = tmp_path / "cfg.yaml"
         cfg = toy_config(epochs=2)
         cfg["dataset"] = {"kind": "prepared", "path": str(out)}
@@ -374,7 +374,7 @@ class TestPrepare:
         np.testing.assert_array_equal(dataset.graph.edges, [[0, 1], [0, 2], [1, 2], [4, 5]])
         np.testing.assert_array_equal(dataset.labels, [0, 0, 1, 1, -1, 0])
         assert dataset.class_names == ["a", "b"]
-        assert dataset.graph.degree(3) == 0
+        assert dataset.graph.adjacency[3] == []
 
     def test_unknown_layout_exits_2(self, tmp_path, capsys):
         raw = tmp_path / "raw"

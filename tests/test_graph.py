@@ -9,7 +9,6 @@ from pathembed.graph import (
     GraphError,
     LabeledDataset,
     load_dataset,
-    load_edge_list,
     load_labels,
     load_split,
     save_split,
@@ -50,8 +49,7 @@ class TestGraphBasics:
 
     def test_neighbors_sorted(self):
         g = Graph(5, np.array([[0, 4], [0, 2], [0, 1]]))
-        np.testing.assert_array_equal(g.neighbors(0), [1, 2, 4])
-        assert g.degree(0) == 3 and g.degree(3) == 0
+        assert g.adjacency[0] == [1, 2, 4] and g.adjacency[3] == []
 
     def test_adjacency_symmetric_exhaustive(self):
         """Symmetry holds pairwise on graphs up to N=200."""
@@ -60,7 +58,7 @@ class TestGraphBasics:
             g = random_graph(rng, n_max=200, p=0.02)
             dense = np.zeros((g.num_nodes, g.num_nodes), dtype=bool)
             for u in range(g.num_nodes):
-                dense[u, g.neighbors(u)] = True
+                dense[u, g.adjacency[u]] = True
             np.testing.assert_array_equal(dense, dense.T)
             assert not dense.diagonal().any()
             assert dense.sum() == 2 * g.num_edges
@@ -77,42 +75,42 @@ class TestLoaders:
     def test_two_edge_path(self, tmp_path):
         p = tmp_path / "edges.txt"
         p.write_text("0 1\n1 2\n")
-        g, report = load_edge_list(p)
-        assert (g.num_nodes, g.num_edges) == (3, 2)
+        ds, report = load_dataset(p)
+        assert (ds.graph.num_nodes, ds.graph.num_edges) == (3, 2)
         assert report["duplicates_dropped"] == 0
 
     def test_dedup_and_self_loop_report(self, tmp_path):
         p = tmp_path / "edges.txt"
         p.write_text("0 1\n1 0\n2 2\n")
-        g, report = load_edge_list(p)
-        assert (g.num_nodes, g.num_edges) == (3, 1)
+        ds, report = load_dataset(p)
+        assert (ds.graph.num_nodes, ds.graph.num_edges) == (3, 1)
         assert report["self_loops_dropped"] == 1
         assert report["duplicates_dropped"] == 1
 
     def test_comments_and_string_ids(self, tmp_path):
         p = tmp_path / "edges.txt"
         p.write_text("# header\npaperA paperB\npaperB paperC\n")
-        g, report = load_edge_list(p)
-        assert g.num_nodes == 3
+        ds, report = load_dataset(p)
+        assert ds.graph.num_nodes == 3
         assert report["id_map"]["paperA"] == 0
 
     def test_numeric_ids_sorted_numerically(self, tmp_path):
         p = tmp_path / "edges.txt"
         p.write_text("10 2\n2 1\n")
-        _, report = load_edge_list(p)
+        _, report = load_dataset(p)
         assert report["id_map"] == {"1": 0, "2": 1, "10": 2}
 
     def test_malformed_line_names_line_number(self, tmp_path):
         p = tmp_path / "edges.txt"
         p.write_text("0 1\n0 1 2\n")
         with pytest.raises(GraphError, match="line 2"):
-            load_edge_list(p)
+            load_dataset(p)
 
     def test_empty_file_errors(self, tmp_path):
         p = tmp_path / "edges.txt"
         p.write_text("# nothing\n")
         with pytest.raises(GraphError):
-            load_edge_list(p)
+            load_dataset(p)
 
     def test_labels_and_dataset(self, tmp_path):
         (tmp_path / "edges.txt").write_text("a b\nb c\n")
@@ -121,21 +119,19 @@ class TestLoaders:
         assert ds.num_classes == 2
         assert ds.class_names == ["x", "y"]
         np.testing.assert_array_equal(ds.labels, [0, 1, 0])
-        assert ds.label_coverage == 1.0
 
     def test_partial_labels_marked_unlabeled(self, tmp_path):
         (tmp_path / "edges.txt").write_text("a b\nb c\n")
         (tmp_path / "labels.tsv").write_text("a\tx\n")
         ds, _ = load_dataset(tmp_path / "edges.txt", tmp_path / "labels.tsv")
         np.testing.assert_array_equal(ds.labels, [0, -1, -1])
-        assert ds.label_coverage == pytest.approx(1 / 3)
 
     def test_unknown_label_node_errors(self, tmp_path):
         (tmp_path / "edges.txt").write_text("a b\n")
         (tmp_path / "labels.tsv").write_text("zz\tx\n")
-        g, report = load_edge_list(tmp_path / "edges.txt")
+        ds, report = load_dataset(tmp_path / "edges.txt")
         with pytest.raises(GraphError, match="unknown node"):
-            load_labels(tmp_path / "labels.tsv", report["id_map"], g.num_nodes)
+            load_labels(tmp_path / "labels.tsv", report["id_map"], ds.graph.num_nodes)
 
 
 class TestSplits:

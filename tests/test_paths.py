@@ -88,12 +88,6 @@ class TestEnumerate:
             ]
             assert counts == sorted(counts)
 
-    def test_early_exit_prefix_is_deterministic(self):
-        g = Graph(5, np.array([(i, j) for i in range(5) for j in range(i + 1, 5)]))
-        a = enumerate_simple_paths(g, 0, 1, max_len=4, max_paths=3)
-        b = enumerate_simple_paths(g, 0, 1, max_len=4, max_paths=3)
-        assert a == b and len(a) == 3
-
     def test_reservoir_subsample_uniform_coverage(self):
         """Every one of the 5 K4 paths shows up across reseeded draws."""
         g = Graph(4, np.array([(i, j) for i in range(4) for j in range(i + 1, 4)]))
@@ -125,18 +119,24 @@ class TestEnumerate:
         with pytest.raises(ValueError):
             enumerate_simple_paths(g, 1, 1, max_len=2)
 
-    def test_count_early_exit(self):
+    def test_counts_within_the_cap_and_the_reservoir(self):
         g = Graph(3, np.array([[0, 1], [1, 2], [0, 2]]))
-        assert len(enumerate_simple_paths(g, 0, 1, max_len=2, max_paths=2)) == 2
-        assert len(enumerate_simple_paths(g, 0, 1, max_len=1, max_paths=2)) == 1
-        assert len(enumerate_simple_paths(g, 0, 1, max_len=2, max_paths=1)) == 1
+        rng = np.random.default_rng(0)
+        assert len(enumerate_simple_paths(g, 0, 1, max_len=2)) == 2
+        assert len(enumerate_simple_paths(g, 0, 1, max_len=1)) == 1
+        assert len(enumerate_simple_paths(g, 0, 1, max_len=2, max_paths=1, rng=rng)) == 1
+
+    def test_max_paths_without_rng_is_refused(self):
+        g = Graph(3, np.array([[0, 1], [1, 2], [0, 2]]))
+        with pytest.raises(ValueError, match="rng"):
+            enumerate_simple_paths(g, 0, 1, max_len=2, max_paths=1)
 
 
 class TestBfsDistances:
     def test_distances_and_cutoff(self):
         g = Graph(5, np.array([[0, 1], [1, 2], [2, 3]]))
-        np.testing.assert_array_equal(bfs_distances(g, 0), [0, 1, 2, 3, -1])
-        np.testing.assert_array_equal(bfs_distances(g, 0, max_hops=2), [0, 1, 2, -1, -1])
+        assert bfs_distances(g, 0, max_hops=4) == [0, 1, 2, 3, -1]
+        assert bfs_distances(g, 0, max_hops=2) == [0, 1, 2, -1, -1]
 
 
 class TestMultiPathPool:
@@ -255,7 +255,7 @@ class TestSinglePathPool:
                 # carrying the same (unique) path the exhaustive pool finds
                 assert pair in full_by_pair
                 assert path.nodes == full_by_pair[pair].nodes
-                assert len(enumerate_simple_paths(g, pair[0], pair[1], 4, max_paths=2)) == 1
+                assert len(enumerate_simple_paths(g, pair[0], pair[1], 4)) == 1
 
     def test_pools_disjoint_over_pairs(self):
         rng = np.random.default_rng(17)
@@ -284,7 +284,7 @@ class TestDistanceShortcuts:
             g = random_graph(rng, n_max=9, p=0.45)
             max_len = int(rng.integers(1, 6))
             for u in range(g.num_nodes):
-                dist = bfs_distances(g, u, max_len).tolist()
+                dist = bfs_distances(g, u, max_len)
                 for v in range(g.num_nodes):
                     if v == u or dist[v] < 0:
                         continue

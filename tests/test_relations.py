@@ -329,7 +329,7 @@ class TestInitAndValidation:
 
     def test_unknown_backend(self):
         with pytest.raises(ShapeError):
-            init_metric_params("cosine", 2, np.random.default_rng(0))
+            init_metric_params("cosine", 2, np.random.default_rng(0), hidden=4)
         with pytest.raises(ShapeError):
             validate_params("cosine", 2, {})
 
