@@ -28,7 +28,7 @@ from pathlib import Path as FilePath
 
 import yaml
 
-from pathembed.training import ConfigError, TrainConfig
+from pathembed.training import ConfigError, TrainConfig, check_type
 
 DATASET_KINDS = ("toy", "synthetic", "prepared", "edgelist")
 
@@ -46,6 +46,7 @@ DATASET_DEFAULTS: dict[str, dict] = {
 }
 
 SPLIT_DEFAULTS = {"val_fraction": 0.05, "test_fraction": 0.10, "seed": None}
+SPLIT_TYPES = {"val_fraction": "float", "test_fraction": "float", "seed": "int | None"}
 
 SWEEP_DEFAULTS = {"param": None, "values": None, "trials": 10}
 
@@ -112,6 +113,8 @@ def _parse_split(data: dict) -> dict:
     _check_keys("split", data, SPLIT_DEFAULTS)
     merged = dict(SPLIT_DEFAULTS)
     merged.update(data)
+    for key, declared in SPLIT_TYPES.items():
+        check_type(f"split.{key}", merged[key], declared)
     val, test = merged["val_fraction"], merged["test_fraction"]
     for name, frac in (("val_fraction", val), ("test_fraction", test)):
         if not 0.0 <= frac < 1.0:

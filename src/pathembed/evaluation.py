@@ -1,7 +1,7 @@
 """Link-prediction metrics, node classification, and sensitivity sweeps.
 
-Scores are "higher = more likely edge": the negative relation magnitude,
-symmetrized by averaging both directions for the asymmetric backends.
+Scores are "higher = more likely edge": the negative link magnitude that
+the relation backend defines and the edge contrast term trains on.
 AUC is the Mann-Whitney U statistic, a tie counting one half. Average
 precision takes each run of tied scores as one threshold, so it does not
 depend on the order in which pairs are listed. Both reject non-finite
@@ -43,16 +43,10 @@ def score_pairs(state, pairs: np.ndarray, backend: str) -> np.ndarray:
     pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
     if pairs.size == 0:
         return np.empty(0, dtype=np.float64)
-    phi = Tensor(state.embeddings.values)
     params = {n: Tensor(a) for n, a in state.metric_params.items()}
-
-    def magnitude(u, v):
-        return metric.magnitude(metric.relate(phi, u, v, params)[0]).data
-
-    u, v = pairs[:, 0], pairs[:, 1]
-    if metric.symmetric:
-        return -magnitude(u, v)
-    return -0.5 * (magnitude(u, v) + magnitude(v, u))
+    loc, _ = metric.relate(Tensor(state.embeddings.values),
+                           *metric.link_rows(pairs[:, 0], pairs[:, 1]), params)
+    return -metric.link_magnitude(loc).data
 
 
 # -- ranking metrics -----------------------------------------------------------

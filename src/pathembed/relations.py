@@ -13,7 +13,9 @@ elementwise, Gaussians add means and variances. Each backend in
 `BACKENDS` runs its metric on autodiff tensors over whole batches of
 pairs, for training and for scoring, and gives the discrepancy of two
 composed relations (for ``vi`` the squared Gaussian KL) and the ``vi``
-ELBO. The tests hold a per-pair numpy reference that the backends are
+ELBO. It owns the one rule that ranks links, `link_rows` and
+`link_magnitude`, for link scoring and the edge contrast term alike.
+The tests hold a per-pair numpy reference that the backends are
 checked against.
 """
 
@@ -138,8 +140,8 @@ class Backend:
 
     `relate` returns (location, log-variance) for the pairs
     (phi[u[i]], phi[v[i]]); the log-variance is None unless a Gaussian
-    backend is asked for it. Locations add along paths and `magnitude`
-    ranks links by them. `symmetric` says r(u, v) = r(v, u), so a batch
+    backend is asked for it. Locations add along paths, and links rank by
+    their `magnitude`. `symmetric` says r(u, v) = r(v, u), so a batch
     stores each pair once. `ranks_distance` says the edge contrast term
     also ranks plain embedding distances, because a learned relation can
     rank edges without placing linked nodes close. `elbo` is set by
@@ -175,6 +177,20 @@ class Backend:
     def magnitude(self, loc: Tensor) -> Tensor:
         """One non-negative number per relation location."""
         return l2norm_rows(loc)
+
+    def link_rows(self, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The pairs to relate for links (u[i], v[i]): the links, then reverses unless symmetric."""
+        if self.symmetric:
+            return u, v
+        return np.concatenate([u, v]), np.concatenate([v, u])
+
+    def link_magnitude(self, loc: Tensor) -> Tensor:
+        """Per link, the magnitude of its `link_rows`, averaged over both directions if two."""
+        mag = self.magnitude(loc)
+        if self.symmetric:
+            return mag
+        n = mag.shape[0] // 2
+        return (gather_rows(mag, np.arange(n)) + gather_rows(mag, np.arange(n, 2 * n))) * 0.5
 
 
 class TwoNorm(Backend):

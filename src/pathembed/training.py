@@ -6,16 +6,18 @@ item. Each optimizer step samples a batch of multi-path sets,
 single-path entries, and (vi backend) train edges for the ELBO term, and
 pairs every train edge with a fresh negative node for the edge contrast
 term. It deduplicates the node pairs that the path and ELBO terms touch,
-and separately those of the contrast term, runs the relation backend
-once over each set of unique pairs, and scatters the results into the
-loss terms through the autodiff engine.
+lays out the contrast links as the backend's `link_rows`, runs the
+relation backend once over each set of pairs, and scatters the results
+into the loss terms through the autodiff engine.
 """
 
 from __future__ import annotations
 
 import json
 import logging
+import numbers
 import time
+import zipfile
 from dataclasses import dataclass, field, fields
 from itertools import chain
 from pathlib import Path as FilePath
@@ -32,6 +34,7 @@ from pathembed.paths import (
 )
 from pathembed.relations import (
     BACKENDS,
+    Backend,
     EmbeddingMatrix,
     ShapeError,
     init_metric_params,
@@ -51,6 +54,20 @@ class ConfigError(ValueError):
 
 class TrainingError(RuntimeError):
     """Numerical failure during training (NaN/Inf), with step diagnostics."""
+
+
+def check_type(key: str, value, declared: str) -> None:
+    """ConfigError naming `key` unless `value` fits a declared type such as "int | None".
+
+    An int refuses bools and floats, a float takes an int, and None fits "| None".
+    """
+    fits = {"None": value is None, "str": isinstance(value, str),
+            "bool": isinstance(value, bool),
+            "int": isinstance(value, numbers.Integral) and not isinstance(value, bool),
+            "float": isinstance(value, numbers.Real) and not isinstance(value, bool)}
+    if not any(fits[kind] for kind in declared.split(" | ")):
+        raise ConfigError(f"{key} must be {declared.replace(' | None', ' or null')}, "
+                          f"got {value!r}")
 
 
 @dataclass
@@ -74,6 +91,8 @@ class TrainConfig:
     seed: int = 0
 
     def validate(self) -> None:
+        for f in fields(self):  # the annotations are strings, as "int | None"
+            check_type(f.name, getattr(self, f.name), f.type)
         if self.backend not in BACKENDS:
             raise ConfigError(f"backend must be one of {tuple(BACKENDS)}, got {self.backend!r}")
         if self.single_mode not in SINGLE_MODES:
@@ -260,12 +279,10 @@ class StepBatch:
     e_u: np.ndarray
     e_v: np.ndarray
     noise: np.ndarray | None
-    # contrast part: (source, neighbor, negative) node triplets, their own
-    # unique pairs, and per triplet the ids of (u, v), (v, u), (u, w), (w, u)
-    c_nodes: np.ndarray
+    # contrast part: the backend's link rows, not deduplicated, of each
+    # (source, neighbor, negative) triplet's (u, v) links, then its (u, w) links
     c_unique_u: np.ndarray
     c_unique_v: np.ndarray
-    c_rel: np.ndarray
 
 
 def _unique_pairs(u: np.ndarray, v: np.ndarray, symmetric: bool):
@@ -282,6 +299,7 @@ def _unique_pairs(u: np.ndarray, v: np.ndarray, symmetric: bool):
 
 
 def make_step_batch(
+    metric: Backend,
     cm: CompiledMulti,
     cs: CompiledSingle,
     set_ids: np.ndarray,
@@ -289,15 +307,14 @@ def make_step_batch(
     elbo_pairs: np.ndarray,
     noise: np.ndarray | None,
     contrast: np.ndarray | None = None,
-    symmetric: bool = False,
 ) -> StepBatch:
-    """Flatten a batch into unique directed node pairs plus per-term ids.
+    """Flatten a batch for `metric` into unique directed node pairs plus per-term ids.
 
-    The contrast triplets get a pair set of their own, so that terms which
-    need more than the relation's magnitude (the vi variance) run only on
-    the path and ELBO pairs. With `symmetric` (a relation with
-    r(u, v) = r(v, u), as 2n's distance) each pair is stored as
-    (min, max), so both directions share one row.
+    The contrast triplets get rows of their own, so that terms which need
+    more than the relation's magnitude (the vi variance) run only on the
+    path and ELBO pairs. For a symmetric metric (r(u, v) = r(v, u), as
+    2n's distance) each path and ELBO pair is stored as (min, max), so
+    both directions share one row.
     """
     # Item-local path, edge and term ids shift by where their item's run
     # starts in the batch, so a batch may draw the same set or entry twice.
@@ -313,16 +330,14 @@ def make_step_batch(
     e_u = elbo_pairs[:, 0] if elbo_pairs.size else empty
     e_v = elbo_pairs[:, 1] if elbo_pairs.size else empty
 
-    c_nodes = np.asarray(contrast if contrast is not None else empty,
-                         dtype=np.int64).reshape(-1, 3)
-    cu, cv, cw = c_nodes.T
-    c_unique_u, c_unique_v, c_rel = _unique_pairs(
-        np.stack([cu, cv, cu, cw], axis=1).ravel(),
-        np.stack([cv, cu, cw, cu], axis=1).ravel(), symmetric)
+    cu, cv, cw = np.asarray(contrast if contrast is not None else empty,
+                            dtype=np.int64).reshape(-1, 3).T
+    c_unique_u, c_unique_v = metric.link_rows(np.concatenate([cu, cu]),
+                                              np.concatenate([cv, cw]))
 
     unique_u, unique_v, inverse = _unique_pairs(
         np.concatenate([m_u, s_u, t_i, e_u]), np.concatenate([m_v, s_v, t_j, e_v]),
-        symmetric)
+        metric.symmetric)
     ofs = np.cumsum([m_u.size, s_u.size, t_i.size, e_u.size])
     return StepBatch(
         unique_u=unique_u,
@@ -342,42 +357,26 @@ def make_step_batch(
         e_u=e_u,
         e_v=e_v,
         noise=noise,
-        c_nodes=c_nodes,
         c_unique_u=c_unique_u,
         c_unique_v=c_unique_v,
-        c_rel=c_rel.reshape(-1, 4),
     )
 
 
 # -- objective ----------------------------------------------------------------
 
 
-def _contrast_loss(mag: Tensor, c_rel: np.ndarray) -> Tensor:
-    """Sum over triplets of softplus(m(u, v)^2 - m(u, w)^2).
-
-    m is a pair magnitude averaged over both directions, as score_pairs
-    does. On squared magnitudes the gradient vanishes at collapse, so the
-    term never fights path constraints that only a collapsed embedding
-    meets.
-    """
-    c = [gather_rows(mag, c_rel[:, k]) for k in range(4)]
-    pos = (c[0] + c[1]) * 0.5
-    neg = (c[2] + c[3]) * 0.5
-    return (pos * pos - neg * neg).softplus().sum()
-
-
-def _distance_contrast_loss(phi: Tensor, c_nodes: np.ndarray) -> Tensor:
-    """Sum over triplets (u, v, w) of softplus(|phi_u - phi_v| - |phi_u - phi_w|)."""
-    near = pair_distance(phi, c_nodes[:, 0], c_nodes[:, 1])
-    far = pair_distance(phi, c_nodes[:, 0], c_nodes[:, 2])
-    return (near - far).softplus().sum()
+def _rank_loss(x: Tensor) -> Tensor:
+    """Sum over i < n of softplus(x[i] - x[n + i]), for 2n values: links against negatives."""
+    n = x.shape[0] // 2
+    return (gather_rows(x, np.arange(n)) - gather_rows(x, np.arange(n, 2 * n))).softplus().sum()
 
 
 def build_objective(
-    phi_t: Tensor, params_t: dict[str, Tensor], sb: StepBatch, cfg: TrainConfig
+    params_t: dict[str, Tensor], sb: StepBatch, cfg: TrainConfig
 ) -> tuple[Tensor, dict[str, float]]:
-    """The step loss as an autodiff scalar, plus its parts as floats."""
+    """The step loss as an autodiff scalar, plus its parts as floats; params_t has "phi"."""
     metric = BACKENDS[cfg.backend]
+    phi_t = params_t["phi"]
     if sb.unique_u.size:
         rel = metric.relate(phi_t, sb.unique_u, sb.unique_v, params_t, variance=True)
 
@@ -411,12 +410,17 @@ def build_objective(
         parts["elbo"] = elbo_mean.item()
         terms.append((-1.0, elbo_mean))
 
-    if sb.c_rel.size and cfg.balance < 1.0:
-        # edge contrast on the squared relation magnitude that score_pairs ranks by
+    if sb.c_unique_u.size and cfg.balance < 1.0:
+        # softplus(m(u, v)^2 - m(u, w)^2) on the link magnitude m that score_pairs
+        # ranks by. Squared, its gradient vanishes at collapse, so the term never
+        # fights path constraints that only a collapsed embedding meets.
         loc, _ = metric.relate(phi_t, sb.c_unique_u, sb.c_unique_v, params_t)
-        loss_rank = _contrast_loss(metric.magnitude(loc), sb.c_rel)
-        if metric.ranks_distance:
-            loss_rank = loss_rank + _distance_contrast_loss(phi_t, sb.c_nodes)
+        mag = metric.link_magnitude(loc)
+        loss_rank = _rank_loss(mag * mag)
+        if metric.ranks_distance:  # on the first rows, the links themselves
+            n = mag.shape[0]
+            loss_rank = loss_rank + _rank_loss(
+                pair_distance(phi_t, sb.c_unique_u[:n], sb.c_unique_v[:n]))
         parts["loss_rank"] = loss_rank.item()
         terms.append((1.0 - cfg.balance, loss_rank))
 
@@ -431,10 +435,8 @@ def build_objective(
     return total, parts
 
 
-def _tensors(state: ModelState) -> tuple[Tensor, dict[str, Tensor]]:
-    phi_t = Tensor(state.embeddings.values, requires_grad=True)
-    params_t = {n: Tensor(a, requires_grad=True) for n, a in state.metric_params.items()}
-    return phi_t, params_t
+def _tensors(state: ModelState) -> dict[str, Tensor]:
+    return {n: Tensor(a, requires_grad=True) for n, a in state.trainables().items()}
 
 
 def contrast_triplets(edges: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -608,21 +610,17 @@ def train(
                 elbo_pairs = np.empty((0, 2), dtype=np.int64)
                 noise = None
             contrast = contrast_triplets(graph.edges, contrast_rng) if use_contrast else None
-            sb = make_step_batch(cm, cs, set_ids, entry_ids, elbo_pairs, noise, contrast,
-                                 symmetric=metric.symmetric)
-            phi_t, params_t = _tensors(state)
-            total, parts = build_objective(phi_t, params_t, sb, cfg)
+            sb = make_step_batch(metric, cm, cs, set_ids, entry_ids, elbo_pairs, noise,
+                                 contrast)
+            tensors = _tensors(state)
+            total, parts = build_objective(tensors, sb, cfg)
             if not np.isfinite(parts["loss"]):
                 raise TrainingError(
                     f"non-finite loss at step {state.step + 1}: {parts}"
                 )
             if total.requires_grad:
                 total.backward()
-            grads = {}
-            for name, arr in state.trainables().items():
-                t = phi_t if name == "phi" else params_t[name]
-                if t.grad is not None:
-                    grads[name] = t.grad
+            grads = {n: t.grad for n, t in tensors.items() if t.grad is not None}
             if cfg.single_mode == "unbounded" and grads:
                 clip_gradients(grads, cfg.grad_clip)
             adam_step(state, grads, cfg)
@@ -699,12 +697,27 @@ def save_checkpoint(state: ModelState, cfg: TrainConfig, path: str | FilePath) -
 
 
 def load_checkpoint(path: str | FilePath) -> tuple[ModelState, TrainConfig]:
-    """The state and config a checkpoint holds; ConfigError if they do not fit."""
-    with np.load(path) as data:
+    """The state and config a checkpoint holds; ConfigError if it is malformed or does not fit."""
+    try:
+        data = np.load(path)
+    except (ValueError, EOFError, zipfile.BadZipFile) as exc:
+        raise ConfigError(f"checkpoint {path} is not an .npz archive: {exc}") from None
+    if not isinstance(data, np.lib.npyio.NpzFile):
+        raise ConfigError(f"checkpoint {path} is not an .npz archive")
+    with data:
+        missing = sorted({"phi", "version", "config_json", "step"} - set(data.files))
+        if missing:
+            raise ConfigError(f"checkpoint {path}: missing {missing}")
         version = int(data["version"])
         if version != CHECKPOINT_VERSION:
-            raise ConfigError(f"unsupported checkpoint version {version}")
-        cfg = TrainConfig.from_dict(json.loads(bytes(data["config_json"]).decode()))
+            raise ConfigError(f"checkpoint {path}: unsupported version {version}")
+        try:
+            config = json.loads(bytes(data["config_json"]).decode())
+        except ValueError as exc:
+            raise ConfigError(f"checkpoint {path}: config_json is not JSON: {exc}") from None
+        if not isinstance(config, dict):
+            raise ConfigError(f"checkpoint {path}: config_json is not a mapping")
+        cfg = TrainConfig.from_dict(config)
         phi = EmbeddingMatrix(data["phi"])
         metric = {n[len("param_"):]: data[n] for n in data.files if n.startswith("param_")}
         try:

@@ -28,14 +28,11 @@ def full_objective(state, cfg, graph=None, multi_pool=(), single_pool=SinglePath
     cm = compile_multipath(multi_pool)
     cs = compile_singlepath(single_pool, graph)
     elbo_pairs = graph.edges if noise is not None else np.empty((0, 2), dtype=np.int64)
-    sb = make_step_batch(cm, cs, np.arange(len(cm.edges)), np.arange(len(cs.edges)),
-                         elbo_pairs, noise, contrast, symmetric=BACKENDS[cfg.backend].symmetric)
-    phi_t, params_t = _tensors(state)
-    total, parts = build_objective(phi_t, params_t, sb, cfg)
+    sb = make_step_batch(BACKENDS[cfg.backend], cm, cs, np.arange(len(cm.edges)),
+                         np.arange(len(cs.edges)), elbo_pairs, noise, contrast)
+    tensors = _tensors(state)
+    total, parts = build_objective(tensors, sb, cfg)
     if total.requires_grad:
         total.backward()
-    grads = {}
-    for name, arr in state.trainables().items():
-        t = phi_t if name == "phi" else params_t[name]
-        grads[name] = t.grad if t.grad is not None else np.zeros_like(arr)
-    return parts, grads
+    return parts, {n: t.grad if t.grad is not None else np.zeros_like(t.data)
+                   for n, t in tensors.items()}

@@ -1,5 +1,6 @@
 """End-to-end command-line behavior: runs, exit codes, artifacts, resume."""
 
+import io
 import json
 import time
 
@@ -18,6 +19,12 @@ from pathembed.training import ConfigError
 def write_yaml(path, payload):
     with open(path, "w", encoding="utf-8") as fh:
         yaml.safe_dump(payload, fh)
+
+
+def npy_bytes(array):
+    buffer = io.BytesIO()
+    np.save(buffer, array)
+    return buffer.getvalue()
 
 
 def toy_config(**train_overrides):
@@ -147,6 +154,28 @@ class TestTrain:
         assert code == EXIT_CONFIG
         assert "backend" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("section,key,value", [
+        ("train", "embedding_dim", "8"),
+        ("train", "epochs", 2.5),
+        ("train", "learning_rate", "0.01"),
+        ("train", "backend", ["vi"]),
+        ("train", "balance", None),
+        ("train", "max_pairs", 1.5),
+        ("train", "patience", True),
+        ("split", "seed", 1.5),
+        ("split", "seed", "abc"),
+        ("split", "val_fraction", "0.1"),
+    ])
+    def test_mistyped_config_value_exits_2(self, tmp_path, capsys, section, key, value):
+        payload = toy_config()
+        payload[section][key] = value
+        cfg_path = tmp_path / "cfg.yaml"
+        write_yaml(cfg_path, payload)
+        code = main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "r")])
+        assert code == EXIT_CONFIG
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "r" / "checkpoint.npz").exists()
+
     def test_missing_config_file_exits_2(self, tmp_path):
         code = main(["train", "--config", str(tmp_path / "nope.yaml"),
                      "--out", str(tmp_path / "r")])
@@ -206,7 +235,17 @@ class TestEval:
         (lambda arrays: arrays.update(phi=arrays["phi"][:, :4]), "phi has 4 columns"),
         (lambda arrays: arrays.update(version=np.asarray(1)), "version 1"),
         (lambda arrays: arrays.pop("adam_v_phi"), "missing ['adam_v_phi']"),
-    ], ids=["missing-group", "narrow-phi", "version-1", "missing-moment"])
+        (lambda arrays: arrays.pop("phi"), "missing ['phi']"),
+        (lambda arrays: arrays.pop("version"), "missing ['version']"),
+        (lambda arrays: arrays.pop("config_json"), "missing ['config_json']"),
+        (lambda arrays: arrays.pop("step"), "missing ['step']"),
+        (lambda arrays: arrays.update(config_json=np.frombuffer(b"{backend", np.uint8)),
+         "config_json is not JSON"),
+        (lambda arrays: arrays.update(config_json=np.frombuffer(b"[8]", np.uint8)),
+         "config_json is not a mapping"),
+    ], ids=["missing-group", "narrow-phi", "version-1", "missing-moment", "missing-phi",
+            "missing-version", "missing-config", "missing-step", "config-not-json",
+            "config-not-mapping"])
     def test_malformed_or_old_checkpoint_exits_2(self, toy_run, tmp_path, capsys,
                                                   breakage, message):
         with np.load(toy_run / "checkpoint.npz") as data:
@@ -216,7 +255,20 @@ class TestEval:
         np.savez(broken, **arrays)
         code = main(["eval", "--checkpoint", str(broken), "--split", str(toy_run / "split")])
         assert code == EXIT_CONFIG
-        assert message in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert message in err
+        assert "broken.npz" in err
+
+    @pytest.mark.parametrize("content", [
+        b"not an archive\n", b"PK\x03\x04cut short", npy_bytes(np.zeros(3)),
+    ], ids=["text", "truncated-zip", "npy-array"])
+    def test_checkpoint_that_is_not_an_npz_archive_exits_2(self, toy_run, tmp_path, capsys,
+                                                             content):
+        broken = tmp_path / "broken.npz"
+        broken.write_bytes(content)
+        code = main(["eval", "--checkpoint", str(broken), "--split", str(toy_run / "split")])
+        assert code == EXIT_CONFIG
+        assert f"checkpoint {broken} is not an .npz archive" in capsys.readouterr().err
 
     @pytest.mark.parametrize("name,line,message", [
         ("test_pos.txt", "0 99", "node id outside"),

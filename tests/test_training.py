@@ -1,12 +1,15 @@
 """Objective values against hand computations, gradient checks, and the loop."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from objective import full_objective
+from pathembed.evaluation import score_pairs
 from pathembed.graph import Graph, split_edges
 from pathembed.paths import SinglePathSet, build_multipath_pool, build_singlepath_pool
-from pathembed.relations import EmbeddingMatrix
+from pathembed.relations import BACKENDS, EmbeddingMatrix, TwoNorm
 from pathembed.training import (
     ADAM_EPS,
     ConfigError,
@@ -14,6 +17,7 @@ from pathembed.training import (
     TrainConfig,
     TrainingError,
     _Cycler,
+    _tensors,
     adam_step,
     build_objective,
     clip_gradients,
@@ -92,12 +96,24 @@ def test_config_defaults_are_valid():
         ("max_pairs", 0),
         ("path_budget", 0),
         ("grad_clip", 0.0),
+        ("embedding_dim", "8"),
+        ("epochs", 2.5),
+        ("learning_rate", "0.01"),
+        ("backend", ["vi"]),
+        ("balance", None),
+        ("max_pairs", 1.5),
+        ("patience", True),
     ],
 )
 def test_config_rejects_bad_values(field, value):
     cfg = TrainConfig(**{field: value})
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match=field):
         cfg.validate()
+
+
+def test_config_takes_an_int_for_a_float_and_null_for_an_optional_int():
+    small_cfg(balance=1, learning_rate=1, grad_clip=2, max_pairs=None,
+              path_budget=None).validate()
 
 
 def test_config_round_trips_through_dict():
@@ -221,8 +237,8 @@ def test_step_batch_dedups_directed_pairs():
     g = Graph(4, FOUR_CYCLE)
     pool = build_multipath_pool(g, 3, 4, 50, seed=0)
     cm, cs = compile_multipath(pool), compile_singlepath(SinglePathSet(()), g)
-    sb = make_step_batch(cm, cs, np.arange(len(pool)), np.empty(0, dtype=np.int64),
-                         np.empty((0, 2), dtype=np.int64), None)
+    sb = make_step_batch(BACKENDS["mlp"], cm, cs, np.arange(len(pool)),
+                         np.empty(0, dtype=np.int64), np.empty((0, 2), dtype=np.int64), None)
     edge_u, edge_v, _ = cm.edges.cols
     assert len(sb.unique_u) < len(edge_u)  # shared edges collapse
     # every compiled edge is recoverable through the inverse index
@@ -270,8 +286,8 @@ def test_step_batch_matches_per_item_reference():
         set_ids = rng.integers(0, len(mp), size=size if mp else 0)
         entry_ids = rng.integers(0, len(sp.entries), size=size if sp.entries else 0)
         symmetric = bool(batch % 2)
-        sb = make_step_batch(cm, cs, set_ids, entry_ids, np.empty((0, 2), dtype=np.int64),
-                             None, symmetric=symmetric)
+        sb = make_step_batch(BACKENDS["2n" if symmetric else "vi"], cm, cs, set_ids,
+                             entry_ids, np.empty((0, 2), dtype=np.int64), None)
 
         def pairs(rel):
             return [(int(a), int(b)) for a, b in zip(sb.unique_u[rel], sb.unique_v[rel])]
@@ -291,7 +307,14 @@ def test_step_batch_matches_per_item_reference():
             len(set_ids), sum(len(mp[s].paths) for s in set_ids), len(terms))
 
 
-def test_symmetric_step_batch_shares_rows_and_keeps_the_2n_loss():
+class DirectedTwoNorm(TwoNorm):
+    """2n's distance without the symmetry claim: every pair is related both ways."""
+
+    name, symmetric = "2n-directed", False
+
+
+def test_symmetric_step_batch_shares_rows_and_keeps_the_2n_loss(monkeypatch):
+    monkeypatch.setitem(BACKENDS, DirectedTwoNorm.name, DirectedTwoNorm())
     g = Graph(7, CYCLE_WITH_TAIL)
     cfg = small_cfg()
     mp, sp = pools_for(g, cfg)
@@ -299,16 +322,15 @@ def test_symmetric_step_batch_shares_rows_and_keeps_the_2n_loss():
     sets, entries = np.arange(len(mp)), np.arange(len(sp.entries))
     none = np.empty((0, 2), dtype=np.int64)
     triplets = contrast_triplets(g.edges, np.random.default_rng(2))
-    directed = make_step_batch(cm, cs, sets, entries, none, None, triplets)
-    shared = make_step_batch(cm, cs, sets, entries, none, None, triplets, symmetric=True)
+    batches = {name: make_step_batch(BACKENDS[name], cm, cs, sets, entries, none, None, triplets)
+               for name in ("2n-directed", "2n")}
+    directed, shared = batches.values()
     assert np.all(shared.unique_u <= shared.unique_v)
-    assert np.all(shared.c_unique_u <= shared.c_unique_v)
     assert len(shared.unique_u) < len(directed.unique_u)
     assert len(shared.c_unique_u) < len(directed.c_unique_u)
-    from pathembed.training import _tensors
-
     state = init_state(cfg, g)
-    parts = [build_objective(*_tensors(state), sb, cfg)[1] for sb in (directed, shared)]
+    parts = [build_objective(_tensors(state), sb, replace(cfg, backend=name))[1]
+             for name, sb in batches.items()]
     for key in ("loss_mul", "loss_sin", "loss_rank"):
         assert parts[1][key] == pytest.approx(parts[0][key], rel=1e-12)
 
@@ -429,13 +451,11 @@ def test_half_batch_losses_recombine_to_full():
     cm = compile_multipath(mp)
     cs = compile_singlepath(sp, g)
     state = init_state(cfg, g)
-    from pathembed.training import _tensors
 
     def parts_for(set_ids, entry_ids):
-        sb = make_step_batch(cm, cs, set_ids, entry_ids,
+        sb = make_step_batch(BACKENDS[cfg.backend], cm, cs, set_ids, entry_ids,
                              np.empty((0, 2), dtype=np.int64), None)
-        phi_t, params_t = _tensors(state)
-        _, parts = build_objective(phi_t, params_t, sb, cfg)
+        _, parts = build_objective(_tensors(state), sb, cfg)
         return parts, sb
 
     all_sets = np.arange(len(mp))
@@ -462,15 +482,13 @@ def test_duplicate_batch_ids_keep_terms_wired_and_weighted():
     cm = compile_multipath(mp)
     cs = compile_singlepath(sp, g)
     state = init_state(cfg, g)
-    from pathembed.training import _tensors
 
     def parts_for(set_ids, entry_ids):
-        sb = make_step_batch(cm, cs, np.asarray(set_ids), np.asarray(entry_ids),
-                             np.empty((0, 2), dtype=np.int64), None)
+        sb = make_step_batch(BACKENDS[cfg.backend], cm, cs, np.asarray(set_ids),
+                             np.asarray(entry_ids), np.empty((0, 2), dtype=np.int64), None)
         counts = np.bincount(sb.s_inc_term, minlength=sb.s_num_terms)
         assert sb.s_num_terms == 0 or counts.min() >= 2
-        phi_t, params_t = _tensors(state)
-        _, parts = build_objective(phi_t, params_t, sb, cfg)
+        _, parts = build_objective(_tensors(state), sb, cfg)
         return parts
 
     once = parts_for([0], [0])
@@ -526,6 +544,25 @@ def test_contrast_term_hand_computed_and_weighted_on_the_order_side():
     assert full_objective(state, cfg, g, single_pool=no_paths)[0]["loss"] == 0.0
     full_balance = small_cfg(embedding_dim=1, balance=1.0)
     assert full_objective(state, full_balance, g, contrast=triplets)[0]["loss"] == 0.0
+
+
+@pytest.mark.parametrize("backend", ["2n", "mlp", "vi"])
+def test_contrast_term_ranks_links_by_their_scores(backend):
+    # one ranking rule: the contrast sum recomputed from score_pairs, plus
+    # the plain distance ranking for the learned relations
+    g = Graph(14, CYCLES_WITH_TAILS)
+    cfg = small_cfg(backend=backend, balance=0.0)
+    state = init_state(cfg, g)
+    u, v, w = np.random.default_rng(8).integers(0, g.num_nodes, size=(3, 40))
+    parts, _ = full_objective(state, cfg, g, contrast=np.stack([u, v, w], axis=1))
+    s_uv = score_pairs(state, np.stack([u, v], axis=1), backend)
+    s_uw = score_pairs(state, np.stack([u, w], axis=1), backend)
+    want = np.logaddexp(0.0, s_uv ** 2 - s_uw ** 2).sum()
+    if backend != "2n":
+        phi = state.embeddings.values
+        d_uv, d_uw = (np.linalg.norm(phi[u] - phi[x], axis=1) for x in (v, w))
+        want += np.logaddexp(0.0, d_uv - d_uw).sum()
+    assert parts["loss_rank"] == pytest.approx(want, rel=1e-12)
 
 
 # -- gradient checks --------------------------------------------------------------
