@@ -366,7 +366,7 @@ def make_step_batch(
 
 
 def _rank_loss(x: Tensor) -> Tensor:
-    """Sum over i < n of softplus(x[i] - x[n + i]), for 2n values: links against negatives."""
+    """Sum of softplus(link - negative), where x holds the links' values, then the negatives'."""
     n = x.shape[0] // 2
     return (gather_rows(x, np.arange(n)) - gather_rows(x, np.arange(n, 2 * n))).softplus().sum()
 

@@ -241,7 +241,7 @@ class TestEval:
         (lambda arrays: arrays.pop("step"), "missing ['step']"),
         (lambda arrays: arrays.update(config_json=np.frombuffer(b"{backend", np.uint8)),
          "config_json is not JSON"),
-        (lambda arrays: arrays.update(config_json=np.frombuffer(b"[8]", np.uint8)),
+        (lambda arrays: arrays.update(config_json=np.frombuffer(b"8", np.uint8)),
          "config_json is not a mapping"),
     ], ids=["missing-group", "narrow-phi", "version-1", "missing-moment", "missing-phi",
             "missing-version", "missing-config", "missing-step", "config-not-json",
