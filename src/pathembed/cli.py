@@ -111,12 +111,7 @@ def resolve_dataset(ds_cfg: dict) -> LabeledDataset:
         return toy_graph()
     if kind == "synthetic":
         graph, labels = synthetic_citation_graph(
-            seed=int(ds_cfg["seed"]),
-            num_nodes=int(ds_cfg["num_nodes"]),
-            num_edges=int(ds_cfg["num_edges"]),
-            num_classes=int(ds_cfg["num_classes"]),
-            homophily=float(ds_cfg["homophily"]),
-        )
+            **{k: v for k, v in ds_cfg.items() if k != "kind"})
         return LabeledDataset(graph=graph, labels=labels)
     if kind == "prepared":
         return load_prepared(ds_cfg["path"])

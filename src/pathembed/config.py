@@ -9,7 +9,7 @@ Sections:
 
   dataset:
     kind: toy | synthetic | prepared | edgelist
-    (per-kind options, see DATASET_DEFAULTS)
+    (per-kind options, see DATASET_DEFAULTS and DATASET_TYPES)
   split:
     val_fraction / test_fraction / seed
   train:
@@ -44,11 +44,19 @@ DATASET_DEFAULTS: dict[str, dict] = {
     "prepared": {"path": None},
     "edgelist": {"edges": None, "labels": None},
 }
+DATASET_TYPES: dict[str, dict[str, str]] = {
+    "toy": {},
+    "synthetic": {"seed": "int", "num_nodes": "int", "num_edges": "int",
+                  "num_classes": "int", "homophily": "float"},
+    "prepared": {"path": "str"},
+    "edgelist": {"edges": "str", "labels": "str | None"},
+}
 
 SPLIT_DEFAULTS = {"val_fraction": 0.05, "test_fraction": 0.10, "seed": None}
 SPLIT_TYPES = {"val_fraction": "float", "test_fraction": "float", "seed": "int | None"}
 
 SWEEP_DEFAULTS = {"param": None, "values": None, "trials": 10}
+SWEEP_TYPES = {"param": "str", "trials": "int"}
 
 _SECTIONS = ("dataset", "split", "train", "sweep")
 
@@ -106,6 +114,8 @@ def _parse_dataset(data: dict) -> dict:
         raise ConfigError("dataset.path is required for kind: prepared")
     if kind == "edgelist" and not merged["edges"]:
         raise ConfigError("dataset.edges is required for kind: edgelist")
+    for key, declared in DATASET_TYPES[kind].items():
+        check_type(f"dataset.{key}", merged[key], declared)
     return merged
 
 
@@ -132,12 +142,13 @@ def _parse_sweep(data: dict | None) -> dict | None:
     merged.update(data)
     if not merged["param"]:
         raise ConfigError("sweep.param is required")
+    for key, declared in SWEEP_TYPES.items():
+        check_type(f"sweep.{key}", merged[key], declared)
     values = merged["values"]
     if not isinstance(values, (list, tuple)) or not values:
         raise ConfigError("sweep.values must be a non-empty list")
-    if int(merged["trials"]) < 1:
+    if merged["trials"] < 1:
         raise ConfigError("sweep.trials must be >= 1")
-    merged["trials"] = int(merged["trials"])
     merged["values"] = list(values)
     return merged
 

@@ -28,8 +28,6 @@ logger = logging.getLogger(__name__)
 class ClassifierReport:
     micro_f1: float
     macro_f1: float
-    train_fraction: float
-    repeats: int
 
 
 # -- scoring -------------------------------------------------------------------
@@ -111,8 +109,11 @@ def evaluate_split(state, split: EdgeSplit, backend: str) -> dict:
 # -- node classification -------------------------------------------------------
 
 
-def _fit_logistic(X: np.ndarray, y: np.ndarray, l2: float = 1.0) -> np.ndarray:
-    """Binary L2-regularized logistic regression; returns (d + 1,) weights."""
+LOGISTIC_L2 = 1.0
+
+
+def _fit_logistic(X: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Binary logistic regression, L2 penalty LOGISTIC_L2 on w; returns (d + 1,) weights."""
     # imported on first use: these imports dominate the CLI's start-up
     from scipy.optimize import minimize
     from scipy.special import expit
@@ -123,9 +124,9 @@ def _fit_logistic(X: np.ndarray, y: np.ndarray, l2: float = 1.0) -> np.ndarray:
     def objective(wb):
         w, b = wb[:d], wb[d]
         margin = sign * (X @ w + b)
-        loss = np.logaddexp(0.0, -margin).sum() + 0.5 * l2 * float(w @ w)
+        loss = np.logaddexp(0.0, -margin).sum() + 0.5 * LOGISTIC_L2 * float(w @ w)
         pull = -sign * expit(-margin)
-        grad = np.concatenate([X.T @ pull + l2 * w, [pull.sum()]])
+        grad = np.concatenate([X.T @ pull + LOGISTIC_L2 * w, [pull.sum()]])
         return loss, grad
 
     res = minimize(
@@ -214,8 +215,6 @@ def classify_nodes(
     return ClassifierReport(
         micro_f1=float(np.mean(micro_list)),
         macro_f1=float(np.mean(macro_list)),
-        train_fraction=train_fraction,
-        repeats=repeats,
     )
 
 

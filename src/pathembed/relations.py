@@ -165,11 +165,11 @@ class Backend:
         """The parts of a `relate` result that add along a path."""
         return (rel[0],)
 
-    def discrepancy(self, a: tuple[Tensor, ...], b: tuple[Tensor, ...],
-                    symmetric_kl: bool = False) -> Tensor:
-        """Per comparison, the disagreement of composed relations a and b.
+    def discrepancy(self, a: tuple[Tensor, ...], b: tuple[Tensor, ...]) -> Tensor:
+        """Per comparison, the disagreement of composed relations a and b, in that order.
 
-        Summed, it is the multi-path loss; here the squared difference.
+        Summed, it is the multi-path loss; here the squared difference. It
+        need not be symmetric: the Gaussian backend's is D_KL(a || b)^2.
         """
         d = a[0] - b[0]
         return d * d
@@ -227,8 +227,8 @@ def _kl_t(m1: Tensor, v1: Tensor, m2: Tensor, v2: Tensor) -> Tensor:
 class Gaussian(Backend):
     """A diagonal Gaussian from an encoder of the embedding difference.
 
-    Path sums add means and variances; the discrepancy is the squared KL,
-    symmetrized on request; a decoder of the pair gives the ELBO.
+    Path sums add means and variances; the discrepancy is the squared KL
+    D_KL(a || b)^2; a decoder of the pair gives the ELBO.
     """
 
     name = "vi"
@@ -244,34 +244,27 @@ class Gaussian(Backend):
         mu, logvar = rel
         return mu, logvar.exp()
 
-    def discrepancy(self, a, b, symmetric_kl=False):
+    def discrepancy(self, a, b):
         kl = _kl_t(*a, *b)
-        if symmetric_kl:
-            kl = (kl + _kl_t(*b, *a)) * 0.5
         return kl * kl
 
     def elbo(self, phi: Tensor, params: dict[str, Tensor], rel: tuple[Tensor, Tensor],
              rows: np.ndarray, u: np.ndarray, v: np.ndarray, noise: np.ndarray) -> Tensor:
         """Mean ELBO of the pairs (u, v), whose relations are rel[rows].
 
-        Monte Carlo over the (L, M, K) `noise` draws of the unit-variance
-        decoder log-density of each (phi_u, phi_v) concatenation, minus
-        KL(q || N(0, I)).
+        One reparameterized draw per pair, from the (M, K) standard normal
+        `noise`, gives the unit-variance decoder log-density of each
+        (phi_u, phi_v) concatenation; minus KL(q || N(0, I)).
         """
         mu_e = gather_rows(rel[0], rows)
         lv_e = gather_rows(rel[1], rows)
         var_e = lv_e.exp()
         sig_e = (lv_e * 0.5).exp()
         target = concat([gather_rows(phi, u), gather_rows(phi, v)], axis=1)
-        k = phi.shape[1]
-        recon_sum = None
-        for sample in noise:
-            mean = decoder_forward_t(mu_e + sig_e * Tensor(sample), params)
-            d = target - mean
-            recon = (d * d).sum(axis=1) * (-0.5) + (-k * LOG_2PI)
-            recon_sum = recon if recon_sum is None else recon_sum + recon
+        d = target - decoder_forward_t(mu_e + sig_e * Tensor(noise), params)
+        recon = (d * d).sum(axis=1) * (-0.5) + (-phi.shape[1] * LOG_2PI)
         kl = (var_e + mu_e * mu_e - 1.0 - lv_e).sum(axis=1) * 0.5
-        return (recon_sum * (1.0 / len(noise)) - kl).mean()
+        return (recon - kl).mean()
 
 
 BACKENDS: dict[str, Backend] = {b.name: b for b in (TwoNorm(), Perceptron(), Gaussian())}

@@ -43,9 +43,8 @@ from pathembed.relations import (
 
 logger = logging.getLogger(__name__)
 
-SINGLE_MODES = ("bounded", "unbounded")
 HISTORY_COLUMNS = ("loss", "loss_mul", "loss_sin", "elbo", "loss_rank")
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 
 class ConfigError(ValueError):
@@ -62,7 +61,6 @@ def check_type(key: str, value, declared: str) -> None:
     An int refuses bools and floats, a float takes an int, and None fits "| None".
     """
     fits = {"None": value is None, "str": isinstance(value, str),
-            "bool": isinstance(value, bool),
             "int": isinstance(value, numbers.Integral) and not isinstance(value, bool),
             "float": isinstance(value, numbers.Real) and not isinstance(value, bool)}
     if not any(fits[kind] for kind in declared.split(" | ")):
@@ -72,6 +70,9 @@ def check_type(key: str, value, declared: str) -> None:
 
 @dataclass
 class TrainConfig:
+    """One run's options. None changes the objective's form: the bounded order term
+    exp(R - r'), a one-way KL for vi's paths and one ELBO draw per edge per step."""
+
     backend: str = "vi"
     embedding_dim: int = 128
     hidden_dim: int = 128
@@ -82,10 +83,6 @@ class TrainConfig:
     max_len: int = 10
     max_paths: int = 10
     max_pairs: int | None = None      # default 10 * E at build time
-    mc_samples: int = 1
-    single_mode: str = "bounded"      # exp(R - r'); "unbounded" is -exp(r' - R)
-    symmetric_kl: bool = False
-    grad_clip: float = 5.0            # applied in unbounded mode only
     patience: int = 20
     path_budget: int | None = 2000    # DFS descents per multi-path pair
     seed: int = 0
@@ -95,14 +92,12 @@ class TrainConfig:
             check_type(f.name, getattr(self, f.name), f.type)
         if self.backend not in BACKENDS:
             raise ConfigError(f"backend must be one of {tuple(BACKENDS)}, got {self.backend!r}")
-        if self.single_mode not in SINGLE_MODES:
-            raise ConfigError(f"single_mode must be one of {SINGLE_MODES}")
         if not 0.0 <= self.balance <= 1.0:
             raise ConfigError("balance must lie in [0, 1]")
         if self.learning_rate <= 0:
             raise ConfigError("learning_rate must be positive")
         for name in ("embedding_dim", "hidden_dim", "epochs", "batch_pairs",
-                     "max_len", "mc_samples", "patience"):
+                     "max_len", "patience"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
         if self.max_paths < 2:
@@ -110,8 +105,6 @@ class TrainConfig:
         for name in ("max_pairs", "path_budget"):
             if getattr(self, name) is not None and getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1 when set")
-        if self.grad_clip <= 0:
-            raise ConfigError("grad_clip must be positive")
 
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
@@ -387,7 +380,7 @@ def build_objective(
         rp = [segment_sum(gather_rows(t, sb.m_rel), sb.m_edge_path, sb.m_num_paths)
               for t in metric.summands(rel)]
         d = metric.discrepancy([gather_rows(t, sb.m_cmp_a) for t in rp],
-                               [gather_rows(t, sb.m_cmp_b) for t in rp], cfg.symmetric_kl)
+                               [gather_rows(t, sb.m_cmp_b) for t in rp])
         loss_mul = d.sum() * (1.0 / sb.m_num_sets)
         parts["loss_mul"] = loss_mul.item()
         terms.append((cfg.balance, loss_mul))
@@ -398,10 +391,7 @@ def build_objective(
         summed = segment_sum(gather_rows(e, sb.s_inc_edge), sb.s_inc_term, sb.s_num_terms)
         r_tot = metric.magnitude(summed)
         r_dir = metric.magnitude(gather_rows(loc, sb.t_rel))
-        if cfg.single_mode == "bounded":
-            loss_sin = (r_tot - r_dir).exp().mean()
-        else:
-            loss_sin = -((r_dir - r_tot).exp().mean())
+        loss_sin = (r_tot - r_dir).exp().mean()
         parts["loss_sin"] = loss_sin.item()
         terms.append((1.0 - cfg.balance, loss_sin))
 
@@ -483,16 +473,6 @@ def adam_step(state: ModelState, grads: dict[str, np.ndarray], cfg: TrainConfig)
         v += (1.0 - ADAM_BETA2) * (g * g)
         arr -= cfg.learning_rate * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
     return state
-
-
-def clip_gradients(grads: dict[str, np.ndarray], max_norm: float) -> float:
-    """Scale all gradients so their joint 2-norm is at most max_norm."""
-    total = np.sqrt(sum(float((g * g).sum()) for g in grads.values()))
-    if total > max_norm and total > 0:
-        scale = max_norm / total
-        for g in grads.values():
-            g *= scale
-    return total
 
 
 # -- training loop -------------------------------------------------------------
@@ -603,9 +583,7 @@ def train(
             if use_elbo:
                 edge_ids = edge_cycler.take(cfg.batch_pairs)
                 elbo_pairs = graph.edges[edge_ids]
-                noise = noise_rng.standard_normal(
-                    (cfg.mc_samples, len(elbo_pairs), cfg.embedding_dim)
-                )
+                noise = noise_rng.standard_normal((len(elbo_pairs), cfg.embedding_dim))
             else:
                 elbo_pairs = np.empty((0, 2), dtype=np.int64)
                 noise = None
@@ -621,8 +599,6 @@ def train(
             if total.requires_grad:
                 total.backward()
             grads = {n: t.grad for n, t in tensors.items() if t.grad is not None}
-            if cfg.single_mode == "unbounded" and grads:
-                clip_gradients(grads, cfg.grad_clip)
             adam_step(state, grads, cfg)
             state.check_finite()
             history.append({"step": state.step, **{k: parts[k] for k in HISTORY_COLUMNS}})

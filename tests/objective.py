@@ -22,7 +22,7 @@ def full_objective(state, cfg, graph=None, multi_pool=(), single_pool=SinglePath
     `parts` holds the loss and its terms as `build_objective` reports them,
     `grads` the exact gradient of the loss for every trainable (zeros where
     it does not reach). The ELBO runs over every edge of `graph` when vi
-    `noise` of shape (L, E, K) is given; the edge contrast term runs on the
+    `noise` of shape (E, K) is given; the edge contrast term runs on the
     `contrast` triplets when they are given.
     """
     cm = compile_multipath(multi_pool)

@@ -85,47 +85,44 @@ def test_criterion_1_gradient_correctness():
     worst_overall = 0.0
     details = []
     for backend in BACKENDS:
-        for mode in ("bounded", "unbounded"):
-            cfg = TrainConfig(
-                backend=backend, embedding_dim=12, hidden_dim=16,
-                balance=0.4, single_mode=mode, max_len=4, max_paths=4,
-                max_pairs=200, mc_samples=1, seed=0,
-            )
-            state = init_state(cfg, graph)
-            noise = None
-            if backend == "vi":
-                noise = np.random.default_rng(5).standard_normal(
-                    (cfg.mc_samples, graph.num_edges, cfg.embedding_dim)
-                )
-            contrast = contrast_triplets(graph.edges, np.random.default_rng(6))
-            _, analytic = full_objective(state, cfg, graph, mp, sp, noise, contrast)
-            slots = [
-                (name, idx)
-                for name, arr in state.trainables().items()
-                for idx in range(arr.size)
-            ]
-            take = min(100, len(slots))
-            picks = [slots[i] for i in rng.choice(len(slots), take, replace=False)]
-            assert take >= 100, f"{backend}/{mode}: only {take} coordinates"
-            worst = 0.0
-            for name, idx in picks:
-                flat = state.trainables()[name].reshape(-1)
-                keep = flat[idx]
-                flat[idx] = keep + h
-                up = full_objective(state, cfg, graph, mp, sp, noise, contrast)[0]["loss"]
-                flat[idx] = keep - h
-                down = full_objective(state, cfg, graph, mp, sp, noise, contrast)[0]["loss"]
-                flat[idx] = keep
-                numeric = (up - down) / (2 * h)
-                a = analytic[name].reshape(-1)[idx]
-                rel = abs(a - numeric) / max(1.0, abs(a), abs(numeric))
-                worst = max(worst, rel)
-            details.append(f"{backend}/{mode}: {worst:.2e}")
-            worst_overall = max(worst_overall, worst)
+        cfg = TrainConfig(
+            backend=backend, embedding_dim=12, hidden_dim=16,
+            balance=0.4, max_len=4, max_paths=4, max_pairs=200, seed=0,
+        )
+        state = init_state(cfg, graph)
+        noise = None
+        if backend == "vi":
+            noise = np.random.default_rng(5).standard_normal(
+                (graph.num_edges, cfg.embedding_dim))
+        contrast = contrast_triplets(graph.edges, np.random.default_rng(6))
+        _, analytic = full_objective(state, cfg, graph, mp, sp, noise, contrast)
+        slots = [
+            (name, idx)
+            for name, arr in state.trainables().items()
+            for idx in range(arr.size)
+        ]
+        take = min(100, len(slots))
+        picks = [slots[i] for i in rng.choice(len(slots), take, replace=False)]
+        assert take >= 100, f"{backend}: only {take} coordinates"
+        worst = 0.0
+        for name, idx in picks:
+            flat = state.trainables()[name].reshape(-1)
+            keep = flat[idx]
+            flat[idx] = keep + h
+            up = full_objective(state, cfg, graph, mp, sp, noise, contrast)[0]["loss"]
+            flat[idx] = keep - h
+            down = full_objective(state, cfg, graph, mp, sp, noise, contrast)[0]["loss"]
+            flat[idx] = keep
+            numeric = (up - down) / (2 * h)
+            a = analytic[name].reshape(-1)[idx]
+            rel = abs(a - numeric) / max(1.0, abs(a), abs(numeric))
+            worst = max(worst, rel)
+        details.append(f"{backend}: {worst:.2e}")
+        worst_overall = max(worst_overall, worst)
     wall = time.time() - start
     ok = worst_overall <= 1e-4 and wall < 60.0
     record(1, "gradient correctness", ok,
-           f"max rel err {worst_overall:.2e} over 100 coords per combo "
+           f"max rel err {worst_overall:.2e} over 100 coords per backend "
            f"({'; '.join(details)}); wall {wall:.1f}s")
 
 
@@ -247,10 +244,7 @@ def test_criterion_3_gaussian_algebra():
     ps = [GaussianRelation(mean[0, i], var[0, i]) for i in range(20)]
     qs = [GaussianRelation(mean[1, i], var[1, i]) for i in range(20)]
     kl_pq = np.array([kl_gaussian(p, q) for p, q in zip(ps, qs)])
-    kl_qp = np.array([kl_gaussian(q, p) for p, q in zip(ps, qs)])
-    worst_prod = max(rel_err(vi.discrepancy(a, b).data, kl_pq ** 2),
-                     rel_err(vi.discrepancy(a, b, symmetric_kl=True).data,
-                             (0.5 * (kl_pq + kl_qp)) ** 2))
+    worst_prod = rel_err(vi.discrepancy(a, b).data, kl_pq ** 2)
     params_t = {n: Tensor(arr) for n, arr in params.items()}
     for nodes in [path] + [tuple(rng.integers(0, 5, size=int(rng.integers(2, 7))))
                            for _ in range(10)]:
@@ -288,8 +282,7 @@ def test_criterion_4_constraint_satisfiability():
 
     chain = Graph(5, np.array([[0, 1], [1, 2], [2, 3], [3, 4]]))
     cfg_chain = TrainConfig(backend="mlp", embedding_dim=4, hidden_dim=8,
-                            balance=0.0, single_mode="bounded",
-                            learning_rate=0.01, epochs=400, batch_pairs=512,
+                            balance=0.0, learning_rate=0.01, epochs=400, batch_pairs=512,
                             max_len=4, max_paths=4, max_pairs=50, seed=0)
     sp = build_singlepath_pool(chain, cfg_chain.max_len, cfg_chain.max_pairs,
                                cfg_chain.seed)

@@ -11,7 +11,7 @@ import yaml
 import pathembed.cli
 import pathembed.training
 from pathembed.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
-from pathembed.config import RunConfig, from_mapping, load_config
+from pathembed.config import DATASET_DEFAULTS, RunConfig, from_mapping, load_config
 from pathembed.datasets import load_citation_archive, load_prepared
 from pathembed.training import ConfigError
 
@@ -165,15 +165,29 @@ class TestTrain:
         ("split", "seed", 1.5),
         ("split", "seed", "abc"),
         ("split", "val_fraction", "0.1"),
+        ("sweep", "trials", 1.5),
+        ("sweep", "trials", True),
+        ("sweep", "trials", "3"),
+        ("sweep", "param", 3),
+        ("dataset", "num_nodes", "60"),
+        ("dataset", "seed", 1.5),
+        ("dataset", "path", 3),
     ])
     def test_mistyped_config_value_exits_2(self, tmp_path, capsys, section, key, value):
         payload = toy_config()
+        if section == "sweep":
+            payload["sweep"] = {"param": "embedding_dim", "values": [4]}
+        if section == "dataset":  # the kind that has the option, at a small size
+            kind = next(k for k, options in DATASET_DEFAULTS.items() if key in options)
+            payload["dataset"] = {"kind": kind}
+            if kind == "synthetic":
+                payload["dataset"].update(num_nodes=60, num_edges=110)
         payload[section][key] = value
         cfg_path = tmp_path / "cfg.yaml"
         write_yaml(cfg_path, payload)
         code = main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "r")])
         assert code == EXIT_CONFIG
-        assert key in capsys.readouterr().err
+        assert (key if section == "train" else f"{section}.{key}") in capsys.readouterr().err
         assert not (tmp_path / "r" / "checkpoint.npz").exists()
 
     def test_missing_config_file_exits_2(self, tmp_path):
@@ -202,6 +216,14 @@ class TestTrain:
 
 
 # -- eval --------------------------------------------------------------------
+
+
+def as_version_2(arrays):
+    """Make checkpoint arrays version 2, whose config names four settings version 3 removed."""
+    config = json.loads(bytes(arrays["config_json"]).decode())
+    config.update(mc_samples=1, single_mode="bounded", symmetric_kl=False, grad_clip=5.0)
+    arrays.update(version=np.asarray(2), config_json=np.frombuffer(
+        json.dumps(config, sort_keys=True).encode(), np.uint8))
 
 
 class TestEval:
@@ -234,6 +256,7 @@ class TestEval:
         (lambda arrays: arrays.pop("param_enc1_w"), "'enc1'"),
         (lambda arrays: arrays.update(phi=arrays["phi"][:, :4]), "phi has 4 columns"),
         (lambda arrays: arrays.update(version=np.asarray(1)), "version 1"),
+        (as_version_2, "version 2"),
         (lambda arrays: arrays.pop("adam_v_phi"), "missing ['adam_v_phi']"),
         (lambda arrays: arrays.pop("phi"), "missing ['phi']"),
         (lambda arrays: arrays.pop("version"), "missing ['version']"),
@@ -243,9 +266,9 @@ class TestEval:
          "config_json is not JSON"),
         (lambda arrays: arrays.update(config_json=np.frombuffer(b"8", np.uint8)),
          "config_json is not a mapping"),
-    ], ids=["missing-group", "narrow-phi", "version-1", "missing-moment", "missing-phi",
-            "missing-version", "missing-config", "missing-step", "config-not-json",
-            "config-not-mapping"])
+    ], ids=["missing-group", "narrow-phi", "version-1", "version-2", "missing-moment",
+            "missing-phi", "missing-version", "missing-config", "missing-step",
+            "config-not-json", "config-not-mapping"])
     def test_malformed_or_old_checkpoint_exits_2(self, toy_run, tmp_path, capsys,
                                                   breakage, message):
         with np.load(toy_run / "checkpoint.npz") as data:

@@ -245,7 +245,6 @@ def test_classify_separable_embeddings_is_perfect():
     assert isinstance(report, ClassifierReport)
     assert report.micro_f1 == pytest.approx(1.0)
     assert report.macro_f1 == pytest.approx(1.0)
-    assert report.repeats == 3
 
 
 def test_classify_is_deterministic():

@@ -1,13 +1,16 @@
 """Layout rules: the oracle stands apart from the package, the public surface is
 explicit, the package holds no name that only tests use, and the README
-documents every training setting."""
+documents every training, split and sweep setting."""
 
 import ast
 import re
 from dataclasses import fields
 from pathlib import Path
 
+import pytest
+
 import pathembed
+from pathembed.config import SPLIT_DEFAULTS, SWEEP_DEFAULTS
 from pathembed.training import TrainConfig
 
 TESTS = Path(__file__).parent
@@ -111,10 +114,20 @@ def test_every_package_name_has_a_production_caller():
     assert unused == []
 
 
-def test_readme_train_block_names_every_train_config_field():
+def readme_config_keys(name: str) -> list[str]:
+    """The keys that the `name:` block of the README's configuration section lists."""
     readme = (TESTS.parent / "README.md").read_text(encoding="utf-8")
     section = readme.split("## Configuration", 1)[1]
-    block = re.search(r"^train:\n((?:  .*\n)+)", section, re.MULTILINE)
-    assert block, "README's configuration section has no train: block"
-    documented = re.findall(r"^  (\w+):", block.group(1), re.MULTILINE)
-    assert sorted(documented) == sorted(f.name for f in fields(TrainConfig))
+    block = re.search(rf"^{name}:.*\n((?:  .*\n)+)", section, re.MULTILINE)
+    assert block, f"README's configuration section has no {name}: block"
+    return sorted(re.findall(r"^  (\w+):", block.group(1), re.MULTILINE))
+
+
+def test_readme_train_block_names_every_train_config_field():
+    assert readme_config_keys("train") == sorted(f.name for f in fields(TrainConfig))
+
+
+@pytest.mark.parametrize("name,defaults", [("split", SPLIT_DEFAULTS),
+                                           ("sweep", SWEEP_DEFAULTS)])
+def test_readme_split_and_sweep_blocks_name_every_key(name, defaults):
+    assert readme_config_keys(name) == sorted(defaults)
