@@ -7,6 +7,7 @@ should compose to the same relation, and the direct relation between
 distant endpoints of a unique path should not undershoot the composed one.
 """
 
+from pathembed.config import ConfigError, TrainConfig
 from pathembed.datasets import (
     DatasetError,
     load_prepared,
@@ -44,9 +45,7 @@ from pathembed.paths import (
 )
 from pathembed.relations import EmbeddingMatrix
 from pathembed.training import (
-    ConfigError,
     ModelState,
-    TrainConfig,
     TrainingError,
     TrainResult,
     init_state,

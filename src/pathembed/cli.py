@@ -18,14 +18,8 @@ import sys
 import time
 from pathlib import Path as FilePath
 
-from pathembed.config import RunConfig, load_config
-from pathembed.datasets import (
-    DatasetError,
-    load_prepared,
-    prepare_dataset,
-    synthetic_citation_graph,
-    toy_graph,
-)
+from pathembed.config import ConfigError, RunConfig, load_config
+from pathembed.datasets import DatasetError, prepare_dataset
 from pathembed.evaluation import (
     classify_nodes,
     evaluate_split,
@@ -35,7 +29,6 @@ from pathembed.evaluation import (
 from pathembed.graph import (
     GraphError,
     LabeledDataset,
-    load_dataset,
     load_labels,
     load_split,
     save_labels,
@@ -44,7 +37,6 @@ from pathembed.graph import (
 )
 from pathembed.paths import build_multipath_pool, build_singlepath_pool
 from pathembed.training import (
-    ConfigError,
     TrainingError,
     load_checkpoint,
     pool_arguments,
@@ -104,23 +96,6 @@ class RunLock:
         return False
 
 
-def resolve_dataset(ds_cfg: dict) -> LabeledDataset:
-    """Materialize the dataset a config section describes."""
-    kind = ds_cfg["kind"]
-    if kind == "toy":
-        return toy_graph()
-    if kind == "synthetic":
-        graph, labels = synthetic_citation_graph(
-            **{k: v for k, v in ds_cfg.items() if k != "kind"})
-        return LabeledDataset(graph=graph, labels=labels)
-    if kind == "prepared":
-        return load_prepared(ds_cfg["path"])
-    if kind == "edgelist":
-        dataset, _ = load_dataset(ds_cfg["edges"], ds_cfg["labels"])
-        return dataset
-    raise ConfigError(f"unsupported dataset kind {kind!r}")
-
-
 def _write_json(path: FilePath, payload: dict) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
@@ -130,7 +105,7 @@ def _write_json(path: FilePath, payload: dict) -> None:
 def _apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
     if args.seed is not None:
         cfg.train.seed = int(args.seed)
-        cfg.split["seed"] = int(args.seed)
+        cfg.split.seed = int(args.seed)
     return cfg
 
 
@@ -156,11 +131,11 @@ def cmd_train(args: argparse.Namespace) -> int:
     start = time.time()
 
     with RunLock(out_dir):
-        dataset = resolve_dataset(cfg.dataset)
+        dataset = cfg.dataset.load()
         split = split_edges(
             dataset.graph,
-            cfg.split["val_fraction"],
-            cfg.split["test_fraction"],
+            cfg.split.val_fraction,
+            cfg.split.test_fraction,
             cfg.split_seed,
         )
         tcfg = cfg.train
@@ -187,7 +162,7 @@ def cmd_train(args: argparse.Namespace) -> int:
             "seed": tcfg.seed,
             "split_seed": cfg.split_seed,
             "dataset": {
-                "kind": cfg.dataset["kind"],
+                "kind": cfg.dataset.kind,
                 "num_nodes": dataset.graph.num_nodes,
                 "num_edges": dataset.graph.num_edges,
                 "num_classes": dataset.num_classes,
@@ -271,10 +246,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     out_path = FilePath(args.out)
     out_path.parent.mkdir(parents=True, exist_ok=True)
 
-    param, values, trials = cfg.sweep["param"], cfg.sweep["values"], cfg.sweep["trials"]
+    param, values, trials = cfg.sweep.param, cfg.sweep.values, cfg.sweep.trials
     # a file from another grid is refused before the dataset loads
     old_rows = read_sweep_rows(out_path, param, values, trials) if out_path.exists() else []
-    dataset = resolve_dataset(cfg.dataset)
+    dataset = cfg.dataset.load()
     if old_rows:
         print(f"resuming: {len(old_rows)} grid points already on disk")
 
@@ -285,8 +260,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         values,
         trials=trials,
         labels=dataset.labels,
-        val_fraction=cfg.split["val_fraction"],
-        test_fraction=cfg.split["test_fraction"],
+        val_fraction=cfg.split.val_fraction,
+        test_fraction=cfg.split.test_fraction,
         out=out_path,
     )
     print(f"sweep complete: {len(rows)} rows -> {out_path}")

@@ -1,176 +1,252 @@
-"""Run configuration files.
+"""Run configuration files: the one schema of a run, and its parser.
 
-A run is described by one YAML file with nested sections. Every field has
-a default; the fully resolved configuration (defaults included) is echoed
-into run metadata so a run directory is self-describing. A dumped
+A run is described by one YAML file with the sections `dataset`, `split`,
+`train` and, for the sweep command, `sweep`. Each section is a dataclass:
+its field annotations are its types, its field defaults its defaults, and
+a field without a default is a required key. `dataset` names a `kind`, a
+key of DATASETS, next to that kind's options; the kind's `load()` builds
+the dataset. `parse_section` refuses unknown and missing keys, then runs
+the section's `validate`: the type of every field, then the section's
+ranges. The resolved configuration, defaults included, is echoed into run
+metadata, so a run directory is self-describing, and a dumped
 `cfg.to_dict()` reloads to the same configuration.
-
-Sections:
-
-  dataset:
-    kind: toy | synthetic | prepared | edgelist
-    (per-kind options, see DATASET_DEFAULTS and DATASET_TYPES)
-  split:
-    val_fraction / test_fraction / seed
-  train:
-    any field of training.TrainConfig
-  sweep:                    # optional, required by the sweep command
-    param: embedding_dim | balance | learning_rate | ... | train_fraction
-    values: [...]
-    trials: 10
 """
 
 from __future__ import annotations
 
-import copy
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path as FilePath
 
-import yaml
+from pathembed.datasets import (load_prepared, synthetic_citation_graph,
+                                synthetic_option_error, toy_graph)
+from pathembed.graph import LabeledDataset, load_dataset
+from pathembed.relations import BACKENDS
 
-from pathembed.training import ConfigError, TrainConfig, check_type
 
-DATASET_KINDS = ("toy", "synthetic", "prepared", "edgelist")
+class ConfigError(ValueError):
+    """Invalid configuration; the CLI maps this to exit code 2."""
 
-DATASET_DEFAULTS: dict[str, dict] = {
-    "toy": {},
-    "synthetic": {
-        "seed": 0,
-        "num_nodes": 2708,
-        "num_edges": 5429,
-        "num_classes": 7,
-        "homophily": 0.78,
-    },
-    "prepared": {"path": None},
-    "edgelist": {"edges": None, "labels": None},
-}
-DATASET_TYPES: dict[str, dict[str, str]] = {
-    "toy": {},
-    "synthetic": {"seed": "int", "num_nodes": "int", "num_edges": "int",
-                  "num_classes": "int", "homophily": "float"},
-    "prepared": {"path": "str"},
-    "edgelist": {"edges": "str", "labels": "str | None"},
-}
 
-SPLIT_DEFAULTS = {"val_fraction": 0.05, "test_fraction": 0.10, "seed": None}
-SPLIT_TYPES = {"val_fraction": "float", "test_fraction": "float", "seed": "int | None"}
+def check_type(key: str, value, declared: str) -> None:
+    """ConfigError naming `key` unless `value` fits a declared type such as "int | None".
 
-SWEEP_DEFAULTS = {"param": None, "values": None, "trials": 10}
-SWEEP_TYPES = {"param": "str", "trials": "int"}
+    An int refuses bools and floats, a float takes an int, and None fits "| None".
+    """
+    fits = {"None": value is None, "str": isinstance(value, str),
+            "list": isinstance(value, list),
+            "int": isinstance(value, numbers.Integral) and not isinstance(value, bool),
+            "float": isinstance(value, numbers.Real) and not isinstance(value, bool)}
+    if not any(fits[kind] for kind in declared.split(" | ")):
+        raise ConfigError(f"{key} must be {declared.replace(' | None', ' or null')}, "
+                          f"got {value!r}")
 
-_SECTIONS = ("dataset", "split", "train", "sweep")
+
+class Section:
+    """A config section; errors name a field as `prefix` + its name."""
+
+    prefix = ""
+
+    def validate(self) -> None:
+        for f in fields(self):  # the annotations are strings, as "int | None"
+            check_type(self.prefix + f.name, getattr(self, f.name), f.type)
+
+
+def parse_section(cls, data: dict):
+    """A validated `cls` built from `data`.
+
+    ConfigError names a key that is not a field of `cls`, and a field
+    without a default that `data` leaves out or empty.
+    """
+    _check_keys(cls.prefix, data, [f.name for f in fields(cls)])
+    for f in fields(cls):
+        if f.default is MISSING and not data.get(f.name):
+            raise ConfigError(f"{cls.prefix}{f.name} is required")
+    section = cls(**data)
+    section.validate()
+    return section
+
+
+def _check_keys(prefix: str, data: dict, allowed) -> None:
+    unknown = sorted(prefix + str(k) for k in set(data) - set(allowed))
+    if unknown:
+        raise ConfigError(f"unknown option(s) {unknown}; expected a subset of {sorted(allowed)}")
+
+
+@dataclass
+class TrainConfig(Section):
+    """One run's options. None changes the objective's form: the bounded order term
+    exp(R - r'), a one-way KL for vi's paths and one ELBO draw per edge per step."""
+
+    backend: str = "vi"
+    embedding_dim: int = 128
+    hidden_dim: int = 128
+    balance: float = 0.5              # multi-path weight; 1 - balance on order + contrast
+    learning_rate: float = 0.001
+    epochs: int = 200
+    batch_pairs: int = 512
+    max_len: int = 10
+    max_paths: int = 10
+    max_pairs: int | None = None      # default 10 * E at build time
+    patience: int = 20
+    path_budget: int | None = 2000    # DFS descents per multi-path pair
+    seed: int = 0
+
+    def validate(self) -> None:
+        super().validate()
+        if self.backend not in BACKENDS:
+            raise ConfigError(f"backend must be one of {tuple(BACKENDS)}, got {self.backend!r}")
+        if not 0.0 <= self.balance <= 1.0:
+            raise ConfigError("balance must lie in [0, 1]")
+        if self.learning_rate <= 0:
+            raise ConfigError("learning_rate must be positive")
+        for name in ("embedding_dim", "hidden_dim", "epochs", "batch_pairs",
+                     "max_len", "patience"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1")
+        if self.max_paths < 2:
+            raise ConfigError("max_paths must be >= 2: a multi-path set needs two paths")
+        for name in ("max_pairs", "path_budget"):
+            if getattr(self, name) is not None and getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1 when set")
+
+
+@dataclass
+class SplitConfig(Section):
+    prefix = "split."
+
+    val_fraction: float = 0.05
+    test_fraction: float = 0.10
+    seed: int | None = None           # None: train.seed
+
+    def validate(self) -> None:
+        super().validate()
+        for name in ("val_fraction", "test_fraction"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ConfigError(f"split.{name} must lie in [0, 1), got {getattr(self, name)}")
+        if self.val_fraction + self.test_fraction >= 1.0:
+            raise ConfigError("split fractions must leave some training edges")
+
+
+@dataclass
+class SweepConfig(Section):
+    prefix = "sweep."
+
+    param: str                        # a TrainConfig field, or train_fraction
+    values: list
+    trials: int = 10
+
+    def validate(self) -> None:
+        super().validate()
+        if self.trials < 1:
+            raise ConfigError("sweep.trials must be >= 1")
+
+
+class DatasetSection(Section):
+    """The options of one dataset kind; `load()` builds the dataset they describe."""
+
+    prefix = "dataset."
+
+
+@dataclass
+class ToyDataset(DatasetSection):
+    kind = "toy"
+
+    def load(self) -> LabeledDataset:
+        return toy_graph()
+
+
+@dataclass
+class SyntheticDataset(DatasetSection):
+    kind = "synthetic"
+
+    seed: int = 0
+    num_nodes: int = 2708
+    num_edges: int = 5429
+    num_classes: int = 7
+    homophily: float = 0.78
+
+    def validate(self) -> None:
+        super().validate()
+        if problem := synthetic_option_error(self.num_nodes, self.num_edges,
+                                             self.num_classes, self.homophily):
+            raise ConfigError(f"dataset.{problem}")
+
+    def load(self) -> LabeledDataset:
+        graph, labels = synthetic_citation_graph(**asdict(self))
+        return LabeledDataset(graph=graph, labels=labels)
+
+
+@dataclass
+class PreparedDataset(DatasetSection):
+    kind = "prepared"
+
+    path: str                         # a directory made by `pathembed prepare`
+
+    def load(self) -> LabeledDataset:
+        return load_prepared(self.path)
+
+
+@dataclass
+class EdgelistDataset(DatasetSection):
+    kind = "edgelist"
+
+    edges: str
+    labels: str | None = None
+
+    def load(self) -> LabeledDataset:
+        return load_dataset(self.edges, self.labels)[0]
+
+
+DATASETS = {cls.kind: cls for cls in (ToyDataset, SyntheticDataset, PreparedDataset,
+                                      EdgelistDataset)}
 
 
 @dataclass
 class RunConfig:
     """A fully resolved run description (all defaults applied)."""
 
-    dataset: dict = field(default_factory=lambda: _with_defaults("synthetic", {}))
-    split: dict = field(default_factory=lambda: dict(SPLIT_DEFAULTS))
+    dataset: DatasetSection = field(default_factory=SyntheticDataset)
+    split: SplitConfig = field(default_factory=SplitConfig)
     train: TrainConfig = field(default_factory=TrainConfig)
-    sweep: dict | None = None
+    sweep: SweepConfig | None = None
 
     def to_dict(self) -> dict:
         """Echo the full configuration, defaults included."""
-        out = {
-            "dataset": copy.deepcopy(self.dataset),
-            "split": dict(self.split),
-            "train": self.train.to_dict(),
-        }
+        out = {"dataset": {"kind": self.dataset.kind, **asdict(self.dataset)},
+               "split": asdict(self.split), "train": asdict(self.train)}
         if self.sweep is not None:
-            out["sweep"] = copy.deepcopy(self.sweep)
+            out["sweep"] = asdict(self.sweep)
         return out
 
     @property
     def split_seed(self) -> int:
-        seed = self.split.get("seed")
-        return self.train.seed if seed is None else int(seed)
-
-
-def _with_defaults(kind: str, options: dict) -> dict:
-    merged = {"kind": kind}
-    merged.update(DATASET_DEFAULTS[kind])
-    merged.update(options)
-    return merged
-
-
-def _check_keys(section: str, data: dict, allowed) -> None:
-    unknown = set(data) - set(allowed)
-    if unknown:
-        raise ConfigError(
-            f"unknown {section} option(s): {sorted(unknown)}; "
-            f"expected a subset of {sorted(allowed)}"
-        )
-
-
-def _parse_dataset(data: dict) -> dict:
-    kind = data.get("kind", "synthetic")
-    if kind not in DATASET_KINDS:
-        raise ConfigError(f"dataset.kind must be one of {DATASET_KINDS}, got {kind!r}")
-    options = {k: v for k, v in data.items() if k != "kind"}
-    _check_keys(f"dataset({kind})", options, DATASET_DEFAULTS[kind])
-    merged = _with_defaults(kind, options)
-    if kind == "prepared" and not merged["path"]:
-        raise ConfigError("dataset.path is required for kind: prepared")
-    if kind == "edgelist" and not merged["edges"]:
-        raise ConfigError("dataset.edges is required for kind: edgelist")
-    for key, declared in DATASET_TYPES[kind].items():
-        check_type(f"dataset.{key}", merged[key], declared)
-    return merged
-
-
-def _parse_split(data: dict) -> dict:
-    _check_keys("split", data, SPLIT_DEFAULTS)
-    merged = dict(SPLIT_DEFAULTS)
-    merged.update(data)
-    for key, declared in SPLIT_TYPES.items():
-        check_type(f"split.{key}", merged[key], declared)
-    val, test = merged["val_fraction"], merged["test_fraction"]
-    for name, frac in (("val_fraction", val), ("test_fraction", test)):
-        if not 0.0 <= frac < 1.0:
-            raise ConfigError(f"split.{name} must lie in [0, 1), got {frac}")
-    if val + test >= 1.0:
-        raise ConfigError("split fractions must leave some training edges")
-    return merged
-
-
-def _parse_sweep(data: dict | None) -> dict | None:
-    if data is None:
-        return None
-    _check_keys("sweep", data, SWEEP_DEFAULTS)
-    merged = dict(SWEEP_DEFAULTS)
-    merged.update(data)
-    if not merged["param"]:
-        raise ConfigError("sweep.param is required")
-    for key, declared in SWEEP_TYPES.items():
-        check_type(f"sweep.{key}", merged[key], declared)
-    values = merged["values"]
-    if not isinstance(values, (list, tuple)) or not values:
-        raise ConfigError("sweep.values must be a non-empty list")
-    if merged["trials"] < 1:
-        raise ConfigError("sweep.trials must be >= 1")
-    merged["values"] = list(values)
-    return merged
+        return self.train.seed if self.split.seed is None else self.split.seed
 
 
 def from_mapping(data: dict) -> RunConfig:
     """Build a RunConfig from a nested mapping, applying defaults."""
     if not isinstance(data, dict):
         raise ConfigError("configuration root must be a mapping")
-    _check_keys("top-level", data, _SECTIONS)
-    for section in _SECTIONS:
-        value = data.get(section)
+    _check_keys("", data, [f.name for f in fields(RunConfig)])
+    for section, value in data.items():
         if value is not None and not isinstance(value, dict):
             raise ConfigError(f"section {section!r} must be a mapping")
+    dataset = dict(data.get("dataset") or {})
+    kind = dataset.pop("kind", "synthetic")
+    if not isinstance(kind, str) or kind not in DATASETS:
+        raise ConfigError(f"dataset.kind must be one of {tuple(DATASETS)}, got {kind!r}")
     return RunConfig(
-        dataset=_parse_dataset(data.get("dataset") or {}),
-        split=_parse_split(data.get("split") or {}),
-        train=TrainConfig.from_dict(data.get("train") or {}),
-        sweep=_parse_sweep(data.get("sweep")),
+        dataset=parse_section(DATASETS[kind], dataset),
+        split=parse_section(SplitConfig, data.get("split") or {}),
+        train=parse_section(TrainConfig, data.get("train") or {}),
+        sweep=None if data.get("sweep") is None else parse_section(SweepConfig, data["sweep"]),
     )
 
 
 def load_config(path: str | FilePath) -> RunConfig:
+    import yaml  # on first use: `import pathembed` does not load it
+
     path = FilePath(path)
     if not path.is_file():
         raise ConfigError(f"config file {path} does not exist")
@@ -180,4 +256,3 @@ def load_config(path: str | FilePath) -> RunConfig:
     except yaml.YAMLError as exc:
         raise ConfigError(f"config file {path} is not valid YAML: {exc}") from exc
     return from_mapping(data or {})
-

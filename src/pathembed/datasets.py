@@ -251,6 +251,21 @@ def _label_counts(num_nodes: int, num_classes: int) -> np.ndarray:
     return counts
 
 
+def synthetic_option_error(num_nodes: int, num_edges: int, num_classes: int,
+                           homophily: float) -> str | None:
+    """Why synthetic_citation_graph cannot build these options, naming the option, or None."""
+    if num_nodes < 4:
+        return f"num_nodes must be >= 4, got {num_nodes}"
+    pairs = num_nodes * (num_nodes - 1) // 2
+    if not num_nodes <= num_edges <= pairs:
+        return f"num_edges must lie in [{num_nodes}, {pairs}], got {num_edges}"
+    if not 1 <= num_classes <= num_nodes or _label_counts(num_nodes, num_classes).min() < 1:
+        return f"num_classes must leave no class without a node, got {num_classes}"
+    if not 0.0 <= homophily <= 1.0:
+        return f"homophily must lie in [0, 1], got {homophily}"
+    return None
+
+
 _TOY_EDGES = (
     (0, 1), (0, 2), (1, 2), (1, 3), (2, 3), (3, 4), (4, 5), (3, 5),
     (5, 6), (6, 7), (5, 7), (0, 6),
@@ -286,8 +301,8 @@ def synthetic_citation_graph(
     `homophily` fraction of edges stay within a class. The result is
     connected with heavy-tailed degrees and mostly same-label edges.
     """
-    if num_nodes < 4 or num_edges < num_nodes:
-        raise ValueError("synthetic graph needs >= 4 nodes and >= nodes edges")
+    if problem := synthetic_option_error(num_nodes, num_edges, num_classes, homophily):
+        raise ValueError(problem)
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x5E17]))
     counts = _label_counts(num_nodes, num_classes)
     labels = rng.permutation(np.repeat(np.arange(num_classes), counts))

@@ -18,6 +18,7 @@ from pathlib import Path as FilePath
 import numpy as np
 
 from pathembed.autodiff import Tensor
+from pathembed.config import ConfigError
 from pathembed.graph import EdgeSplit, Graph, LabeledDataset, split_edges
 from pathembed.relations import BACKENDS
 
@@ -225,7 +226,7 @@ _TRIAL_SEED_STRIDE = 9973
 
 
 def _sweep_point(graph, base_cfg, param, value, trial, labels, val_fraction,
-                 test_fraction, classify_fraction, pools: list):
+                 test_fraction, pools: list):
     """One grid point's row. `pools` is a one-slot cache: [(pool key, pools)] or [].
 
     A point whose train graph and pool arguments equal the cached key
@@ -258,10 +259,7 @@ def _sweep_point(graph, base_cfg, param, value, trial, labels, val_fraction,
     if labels is not None:
         dataset = LabeledDataset(graph=graph, labels=labels)
         try:
-            report = classify_nodes(
-                result.state, dataset, train_fraction=classify_fraction,
-                seed=cfg.seed, repeats=1,
-            )
+            report = classify_nodes(result.state, dataset, seed=cfg.seed, repeats=1)
         except (ValueError, RuntimeError) as exc:
             # classification can be infeasible (for instance a class count
             # larger than the train sample); link metrics are still valid
@@ -288,7 +286,6 @@ def sweep(
     labels: np.ndarray | None = None,
     val_fraction: float = 0.05,
     test_fraction: float = 0.10,
-    classify_fraction: float = 0.1,
     out: str | FilePath | None = None,
 ) -> tuple[list[dict], list[dict]]:
     """Train and evaluate a grid of settings, several trials per value.
@@ -324,7 +321,7 @@ def sweep(
         try:
             done[key] = _sweep_point(
                 graph, base_cfg, param, value, trial, labels, val_fraction,
-                test_fraction, classify_fraction, pools)
+                test_fraction, pools)
         except Exception as exc:  # noqa: BLE001 - per-point isolation
             logger.warning("sweep point %s failed: %s", (value, trial), exc)
             failed[key] = {"param": param, "value": value, "trial": trial, "error": str(exc)}
@@ -352,8 +349,6 @@ def read_sweep_rows(path: str | FilePath, param: str, values, trials: int) -> li
     Raises ConfigError if a row is malformed or the file does not hold a
     part of that grid.
     """
-    from pathembed.training import ConfigError  # deferred: training imports this module
-
     grid = {(str(v), t) for v in values for t in range(trials)}
     rows: list[dict] = []
     with open(path, "r", encoding="utf-8") as fh:

@@ -15,16 +15,16 @@ from __future__ import annotations
 
 import json
 import logging
-import numbers
 import time
 import zipfile
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from itertools import chain
 from pathlib import Path as FilePath
 
 import numpy as np
 
 from pathembed.autodiff import Tensor, gather_rows, pair_distance, segment_sum
+from pathembed.config import ConfigError, TrainConfig, parse_section
 from pathembed.graph import Graph
 from pathembed.paths import (
     MultiPathSet,
@@ -47,77 +47,8 @@ HISTORY_COLUMNS = ("loss", "loss_mul", "loss_sin", "elbo", "loss_rank")
 CHECKPOINT_VERSION = 3
 
 
-class ConfigError(ValueError):
-    """Invalid configuration; the CLI maps this to exit code 2."""
-
-
 class TrainingError(RuntimeError):
     """Numerical failure during training (NaN/Inf), with step diagnostics."""
-
-
-def check_type(key: str, value, declared: str) -> None:
-    """ConfigError naming `key` unless `value` fits a declared type such as "int | None".
-
-    An int refuses bools and floats, a float takes an int, and None fits "| None".
-    """
-    fits = {"None": value is None, "str": isinstance(value, str),
-            "int": isinstance(value, numbers.Integral) and not isinstance(value, bool),
-            "float": isinstance(value, numbers.Real) and not isinstance(value, bool)}
-    if not any(fits[kind] for kind in declared.split(" | ")):
-        raise ConfigError(f"{key} must be {declared.replace(' | None', ' or null')}, "
-                          f"got {value!r}")
-
-
-@dataclass
-class TrainConfig:
-    """One run's options. None changes the objective's form: the bounded order term
-    exp(R - r'), a one-way KL for vi's paths and one ELBO draw per edge per step."""
-
-    backend: str = "vi"
-    embedding_dim: int = 128
-    hidden_dim: int = 128
-    balance: float = 0.5              # multi-path weight; 1 - balance on order + contrast
-    learning_rate: float = 0.001
-    epochs: int = 200
-    batch_pairs: int = 512
-    max_len: int = 10
-    max_paths: int = 10
-    max_pairs: int | None = None      # default 10 * E at build time
-    patience: int = 20
-    path_budget: int | None = 2000    # DFS descents per multi-path pair
-    seed: int = 0
-
-    def validate(self) -> None:
-        for f in fields(self):  # the annotations are strings, as "int | None"
-            check_type(f.name, getattr(self, f.name), f.type)
-        if self.backend not in BACKENDS:
-            raise ConfigError(f"backend must be one of {tuple(BACKENDS)}, got {self.backend!r}")
-        if not 0.0 <= self.balance <= 1.0:
-            raise ConfigError("balance must lie in [0, 1]")
-        if self.learning_rate <= 0:
-            raise ConfigError("learning_rate must be positive")
-        for name in ("embedding_dim", "hidden_dim", "epochs", "batch_pairs",
-                     "max_len", "patience"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1")
-        if self.max_paths < 2:
-            raise ConfigError("max_paths must be >= 2: a multi-path set needs two paths")
-        for name in ("max_pairs", "path_budget"):
-            if getattr(self, name) is not None and getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1 when set")
-
-    def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "TrainConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ConfigError(f"unknown training option(s): {sorted(unknown)}")
-        cfg = cls(**data)
-        cfg.validate()
-        return cfg
 
 
 @dataclass
@@ -667,7 +598,7 @@ def save_checkpoint(state: ModelState, cfg: TrainConfig, path: str | FilePath) -
         path, **_arrays(state),
         step=np.asarray(state.step, dtype=np.int64),
         version=np.asarray(CHECKPOINT_VERSION, dtype=np.int64),
-        config_json=np.frombuffer(json.dumps(cfg.to_dict(), sort_keys=True).encode(),
+        config_json=np.frombuffer(json.dumps(asdict(cfg), sort_keys=True).encode(),
                                   dtype=np.uint8),
     )
 
@@ -693,7 +624,7 @@ def load_checkpoint(path: str | FilePath) -> tuple[ModelState, TrainConfig]:
             raise ConfigError(f"checkpoint {path}: config_json is not JSON: {exc}") from None
         if not isinstance(config, dict):
             raise ConfigError(f"checkpoint {path}: config_json is not a mapping")
-        cfg = TrainConfig.from_dict(config)
+        cfg = parse_section(TrainConfig, config)
         phi = EmbeddingMatrix(data["phi"])
         metric = {n[len("param_"):]: data[n] for n in data.files if n.startswith("param_")}
         try:

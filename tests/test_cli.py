@@ -3,6 +3,8 @@
 import io
 import json
 import time
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,9 +13,10 @@ import yaml
 import pathembed.cli
 import pathembed.training
 from pathembed.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
-from pathembed.config import DATASET_DEFAULTS, RunConfig, from_mapping, load_config
+from pathembed.config import DATASETS, ConfigError, RunConfig, from_mapping, load_config
 from pathembed.datasets import load_citation_archive, load_prepared
-from pathembed.training import ConfigError
+
+DATA = Path(__file__).parents[1] / "data"
 
 
 def write_yaml(path, payload):
@@ -65,7 +68,7 @@ class TestConfig:
         cfg = load_config(path)
         assert cfg.train.balance == 0.5
         assert cfg.train.backend == "vi"
-        assert cfg.split["val_fraction"] == 0.05
+        assert cfg.split.val_fraction == 0.05
         assert cfg.sweep is None
 
     def test_round_trip_is_lossless(self, tmp_path):
@@ -97,7 +100,7 @@ class TestConfig:
 
     def test_sweep_section_validation(self):
         good = {"sweep": {"param": "balance", "values": [0.2, 0.8]}}
-        assert from_mapping(good).sweep["trials"] == 10
+        assert from_mapping(good).sweep.trials == 10
         with pytest.raises(ConfigError):
             from_mapping({"sweep": {"param": "balance", "values": []}})
         with pytest.raises(ConfigError):
@@ -139,6 +142,19 @@ class TestTrain:
         assert 0.0 <= meta["best_val_auc"] <= 1.0
         assert isinstance(meta["build"], str) and meta["build"]
 
+    def test_edgelist_dataset_trains_end_to_end(self, tmp_path):
+        payload = toy_config(epochs=2)
+        payload["dataset"] = {"kind": "edgelist", "edges": str(DATA / "toy" / "edges.txt"),
+                              "labels": str(DATA / "toy" / "labels.tsv")}
+        cfg_path = tmp_path / "cfg.yaml"
+        write_yaml(cfg_path, payload)
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(cfg_path), "--out", str(out)]) == EXIT_OK
+        meta = json.loads((out / "run_meta.json").read_text())
+        assert meta["dataset"] == {"kind": "edgelist", "num_nodes": 30, "num_edges": 52,
+                                   "num_classes": 2}
+        assert from_mapping(meta["config"]) == load_config(cfg_path)
+
     def test_epochs_run_counts_epochs_not_steps(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.yaml"
         write_yaml(cfg_path, toy_config(batch_pairs=8, epochs=2))  # several steps per epoch
@@ -172,13 +188,21 @@ class TestTrain:
         ("dataset", "num_nodes", "60"),
         ("dataset", "seed", 1.5),
         ("dataset", "path", 3),
+        # in range for the type, out of range for the synthetic generator
+        ("dataset", "homophily", 1.5),
+        ("dataset", "homophily", -0.5),
+        ("dataset", "num_classes", 0),
+        ("dataset", "num_classes", 50),
+        ("dataset", "num_nodes", 0),
+        ("dataset", "num_edges", -5),
+        ("dataset", "num_edges", 60 * 59 // 2 + 1),
     ])
     def test_mistyped_config_value_exits_2(self, tmp_path, capsys, section, key, value):
         payload = toy_config()
         if section == "sweep":
             payload["sweep"] = {"param": "embedding_dim", "values": [4]}
         if section == "dataset":  # the kind that has the option, at a small size
-            kind = next(k for k, options in DATASET_DEFAULTS.items() if key in options)
+            kind = next(k for k, cls in DATASETS.items() if key in {f.name for f in fields(cls)})
             payload["dataset"] = {"kind": kind}
             if kind == "synthetic":
                 payload["dataset"].update(num_nodes=60, num_edges=110)

@@ -360,7 +360,7 @@ def test_sweep_reports_classification_with_labels():
     labels = rng.integers(0, 2, size=g.num_nodes)
     labels[:2] = [0, 1]  # both classes present
     rows, errors = sweep(g, sweep_cfg(), "embedding_dim", [3], trials=1,
-                         labels=labels, classify_fraction=0.3)
+                         labels=labels)
     assert errors == []
     assert 0.0 <= rows[0]["micro_f1"] <= 1.0
 

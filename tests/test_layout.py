@@ -1,6 +1,7 @@
 """Layout rules: the oracle stands apart from the package, the public surface is
-explicit, the package holds no name that only tests use, and the README
-documents every training, split and sweep setting."""
+explicit, the package holds no name that only tests use, config.py sits below
+the modules that read configs, and the README documents every training, split
+and sweep setting."""
 
 import ast
 import re
@@ -10,8 +11,7 @@ from pathlib import Path
 import pytest
 
 import pathembed
-from pathembed.config import SPLIT_DEFAULTS, SWEEP_DEFAULTS
-from pathembed.training import TrainConfig
+from pathembed.config import SplitConfig, SweepConfig, TrainConfig
 
 TESTS = Path(__file__).parent
 PACKAGE = Path(pathembed.__file__).parent
@@ -127,7 +127,29 @@ def test_readme_train_block_names_every_train_config_field():
     assert readme_config_keys("train") == sorted(f.name for f in fields(TrainConfig))
 
 
-@pytest.mark.parametrize("name,defaults", [("split", SPLIT_DEFAULTS),
-                                           ("sweep", SWEEP_DEFAULTS)])
+@pytest.mark.parametrize("name,defaults", [("split", fields(SplitConfig)),
+                                           ("sweep", fields(SweepConfig))])
 def test_readme_split_and_sweep_blocks_name_every_key(name, defaults):
-    assert readme_config_keys(name) == sorted(defaults)
+    assert readme_config_keys(name) == sorted(f.name for f in defaults)
+
+
+def test_config_sits_below_training_and_no_function_imports_config_error():
+    # config.py owns the run-config schema, so it imports nothing that builds
+    # on it, and every module reaches ConfigError through a top-level import
+    tree = ast.parse((PACKAGE / "config.py").read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add(node.module)
+            imported.update(f"{node.module}.{alias.name}" for alias in node.names)
+    assert imported & {"pathembed.training", "pathembed.evaluation", "pathembed.cli"} == set()
+    late = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                late += [f"{path.name}:{node.lineno}" for node in ast.walk(fn)
+                         if isinstance(node, ast.ImportFrom)
+                         and "ConfigError" in {alias.name for alias in node.names}]
+    assert late == []

@@ -1,20 +1,19 @@
 """Objective values against hand computations, gradient checks, and the loop."""
 
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 
 from objective import full_objective
+from pathembed.config import ConfigError, TrainConfig, parse_section
 from pathembed.evaluation import score_pairs
 from pathembed.graph import Graph, split_edges
 from pathembed.paths import SinglePathSet, build_multipath_pool, build_singlepath_pool
 from pathembed.relations import BACKENDS, EmbeddingMatrix, TwoNorm
 from pathembed.training import (
     ADAM_EPS,
-    ConfigError,
     ModelState,
-    TrainConfig,
     TrainingError,
     _Cycler,
     _tensors,
@@ -113,13 +112,13 @@ def test_config_takes_an_int_for_a_float_and_null_for_an_optional_int():
 
 def test_config_round_trips_through_dict():
     cfg = small_cfg(backend="vi", balance=0.25, max_pairs=7)
-    again = TrainConfig.from_dict(cfg.to_dict())
+    again = parse_section(TrainConfig, asdict(cfg))
     assert again == cfg
 
 
 def test_config_rejects_unknown_keys():
     with pytest.raises(ConfigError):
-        TrainConfig.from_dict({"learning_rte": 0.1})
+        parse_section(TrainConfig, {"learning_rte": 0.1})
 
 
 def test_pool_arguments_default_to_ten_pairs_per_edge():
