@@ -3,9 +3,10 @@
 Small on purpose: only the operations the training objectives need are
 implemented (elementwise arithmetic, exp/log/relu/clamp, 2-D matmul,
 reductions, row gather, segment sum, concatenation, and zero-safe row
-norms and pair distances). All data is float64. Graphs are built eagerly and differentiated
-by an iterative topological sweep, so deep chains do not hit the
-interpreter recursion limit.
+norms and pair distances), plus two fused layers of the relation
+networks: an affine map and the pair hidden layer. All data is float64.
+Graphs are built eagerly and differentiated by an iterative topological
+sweep, so deep chains do not hit the interpreter recursion limit.
 """
 
 from __future__ import annotations
@@ -68,7 +69,11 @@ class Tensor:
     # -- autodiff ------------------------------------------------------
 
     def backward(self) -> None:
-        """Accumulate d(self)/d(leaf) into every reachable leaf's .grad."""
+        """Accumulate d(self)/d(leaf) into every reachable leaf's .grad.
+
+        An interior node's .grad is dropped once its vjp has run, so the
+        sweep holds few gradients at a time; afterwards only leaves hold one.
+        """
         if self.data.size != 1:
             raise ValueError("backward() is only defined for scalar outputs")
         topo: list[Tensor] = []
@@ -92,10 +97,11 @@ class Tensor:
         for node in reversed(topo):
             if node._vjp is None or node.grad is None:
                 continue
-            for parent, pg in zip(node._parents, node._vjp(node.grad)):
-                if pg is None or not parent.requires_grad:
-                    continue
-                parent.grad = pg if parent.grad is None else parent.grad + pg
+            grads, node.grad = node._vjp(node.grad), None
+            for parent, pg in zip(node._parents, grads):
+                if pg is not None and parent.requires_grad:
+                    parent.grad = pg if parent.grad is None else parent.grad + pg
+            grads = pg = None  # unused parent grads go before the next vjp runs
         for node in topo:
             if node._vjp is None and node.grad is not None:
                 node.grad = np.array(node.grad, dtype=np.float64, copy=True)
@@ -206,23 +212,28 @@ def _wrap(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def scatter_rows(index: Array, values: Array, num_rows: int) -> Array:
+def scatter_rows(index: Array, values: Array, num_rows: int, minus: Array | None = None) -> Array:
     """out[r] = sum of the rows values[i] over i with index[i] == r.
 
     Rows are added in order of i, as np.add.at does, so the result is the
     same to the bit; a one-hot sparse product is several times faster.
+    With `minus`, each row values[i] is also subtracted at minus[i], after
+    all additions to that row, as np.subtract.at after np.add.at would.
     """
     index = np.asarray(index, dtype=np.intp)
     row_shape = values.shape[index.ndim:]
     index = index.reshape(-1)
+    size = index.size
+    cols, sign = np.arange(size), np.ones(size)
+    if minus is not None:
+        index = np.concatenate([index, np.asarray(minus, dtype=np.intp).reshape(-1)])
+        cols, sign = np.tile(cols, 2), np.concatenate([sign, -sign])
     if not row_shape:
-        return np.bincount(index, weights=values.reshape(-1), minlength=num_rows)
+        return np.bincount(index, weights=values.reshape(-1)[cols] * sign, minlength=num_rows)
+    order = np.argsort(index, kind="stable")
     indptr = np.concatenate([[0], np.cumsum(np.bincount(index, minlength=num_rows))])
-    onehot = sparse.csr_matrix(
-        (np.ones(index.size), np.argsort(index, kind="stable"), indptr),
-        shape=(num_rows, index.size),
-    )
-    out = onehot @ values.reshape(index.size, int(np.prod(row_shape)))
+    onehot = sparse.csr_matrix((sign[order], cols[order], indptr), shape=(num_rows, size))
+    out = onehot @ values.reshape(size, int(np.prod(row_shape)))
     return np.asarray(out).reshape((num_rows,) + row_shape)
 
 
@@ -260,7 +271,7 @@ def pair_distance(x: Tensor, u: Array, v: Array) -> Tensor:
     """|x[u[i]] - x[v[i]]| for each pair i; the gradient at a zero difference is 0.
 
     One op instead of two gathers, a difference and a row norm, so the
-    backward pass makes two scatters and no intermediate gradients.
+    backward pass makes one signed scatter and no intermediate gradients.
     """
     u = np.asarray(u, dtype=np.intp)
     v = np.asarray(v, dtype=np.intp)
@@ -271,7 +282,7 @@ def pair_distance(x: Tensor, u: Array, v: Array) -> Tensor:
 
     def vjp(g: Array):
         rows = (g / safe)[:, None] * diff
-        return (scatter_rows(u, rows, num_rows) - scatter_rows(v, rows, num_rows),)
+        return (scatter_rows(u, rows, num_rows, minus=v),)
 
     return Tensor(norms, _parents=(x,), _vjp=vjp)
 
@@ -280,7 +291,7 @@ def l2norm_rows(x: Tensor) -> Tensor:
     """Euclidean norm of each row; the gradient at a zero row is 0."""
     if x.data.ndim != 2:
         raise ValueError("l2norm_rows expects a 2-D tensor")
-    norms = np.sqrt((x.data * x.data).sum(axis=1))
+    norms = np.sqrt(np.einsum("ij,ij->i", x.data, x.data))
     safe = np.where(norms > 0.0, norms, 1.0)
     data = x.data
 
@@ -289,3 +300,39 @@ def l2norm_rows(x: Tensor) -> Tensor:
         return ((g / safe)[:, None] * data,)
 
     return Tensor(norms, _parents=(x,), _vjp=vjp)
+
+
+def pair_hidden(p: Tensor, q: Tensor, u: Array, v: Array, b: Tensor, sign: float) -> Tensor:
+    """relu(p[u[i]] + sign * q[v[i]] + b) for each pair i, with sign +1 or -1.
+
+    One op for the gathers, the sum, the bias and the relu of a pair
+    layer, so the forward keeps one (M, H) array and the backward makes
+    one signed scatter. p and q may be the same tensor.
+    """
+    u = np.asarray(u, dtype=np.intp)
+    v = np.asarray(v, dtype=np.intp)
+    n = p.data.shape[0]
+    h = p.data[u]
+    if sign > 0:
+        h += q.data[v]
+    else:
+        h -= q.data[v]
+    h += b.data
+    np.maximum(h, 0.0, out=h)
+
+    def vjp(g: Array):
+        g = np.where(h > 0.0, g, 0.0)
+        # p's rows on top, q's below; the scatter subtracts q's
+        both = scatter_rows(u, g, n + q.data.shape[0], minus=v + n)
+        return both[:n], (both[n:] if sign < 0 else -both[n:]), g.sum(axis=0)
+
+    return Tensor(h, _parents=(p, q, b), _vjp=vjp)
+
+
+def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """x @ w + b for 2-D x and w, as one op that adds the bias in place."""
+    xd, wd = x.data, w.data
+    out_data = xd @ wd
+    out_data += b.data
+    return Tensor(out_data, _parents=(x, w, b),
+                  _vjp=lambda g: (g @ wd.T, xd.T @ g, g.sum(axis=0)))

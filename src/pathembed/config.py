@@ -109,6 +109,8 @@ class TrainConfig(Section):
         for name in ("max_pairs", "path_budget"):
             if getattr(self, name) is not None and getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1 when set")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
 
 
 @dataclass
@@ -126,6 +128,8 @@ class SplitConfig(Section):
                 raise ConfigError(f"split.{name} must lie in [0, 1), got {getattr(self, name)}")
         if self.val_fraction + self.test_fraction >= 1.0:
             raise ConfigError("split fractions must leave some training edges")
+        if self.seed is not None and self.seed < 0:
+            raise ConfigError("split.seed must be >= 0 when set")
 
 
 @dataclass
@@ -140,6 +144,9 @@ class SweepConfig(Section):
         super().validate()
         if self.trials < 1:
             raise ConfigError("sweep.trials must be >= 1")
+        params = [f.name for f in fields(TrainConfig)] + ["train_fraction"]
+        if self.param not in params:
+            raise ConfigError(f"sweep.param must be one of {params}, got {self.param!r}")
 
 
 class DatasetSection(Section):
@@ -168,6 +175,8 @@ class SyntheticDataset(DatasetSection):
 
     def validate(self) -> None:
         super().validate()
+        if self.seed < 0:
+            raise ConfigError("dataset.seed must be >= 0")
         if problem := synthetic_option_error(self.num_nodes, self.num_edges,
                                              self.num_classes, self.homophily):
             raise ConfigError(f"dataset.{problem}")

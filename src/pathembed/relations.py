@@ -25,7 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from pathembed.autodiff import Tensor, concat, gather_rows, l2norm_rows, pair_distance
+from pathembed.autodiff import (Tensor, affine, concat, gather_rows, l2norm_rows,
+                                pair_distance, pair_hidden)
 
 LOGVAR_MIN, LOGVAR_MAX = -10.0, 10.0
 
@@ -104,8 +105,8 @@ def mlp_pairs_t(phi: Tensor, u: np.ndarray, v: np.ndarray, p: dict[str, Tensor])
     k = phi.shape[1]
     top = phi @ gather_rows(p["mlp1_w"], np.arange(k))
     bottom = phi @ gather_rows(p["mlp1_w"], np.arange(k, 2 * k))
-    h = (gather_rows(top, u) + gather_rows(bottom, v) + p["mlp1_b"]).relu()
-    return h @ p["mlp2_w"] + p["mlp2_b"]
+    h = pair_hidden(top, bottom, u, v, p["mlp1_b"], 1.0)
+    return affine(h, p["mlp2_w"], p["mlp2_b"])
 
 
 def encoder_pairs_t(
@@ -119,17 +120,17 @@ def encoder_pairs_t(
     is skipped and None returned.
     """
     proj = phi @ p["enc1_w"]
-    h = (gather_rows(proj, u) - gather_rows(proj, v) + p["enc1_b"]).relu()
-    mu = h @ p["enc_mu_w"] + p["enc_mu_b"]
+    h = pair_hidden(proj, proj, u, v, p["enc1_b"], -1.0)
+    mu = affine(h, p["enc_mu_w"], p["enc_mu_b"])
     if not with_logvar:
         return mu, None
-    return mu, (h @ p["enc_lv_w"] + p["enc_lv_b"]).clamp(LOGVAR_MIN, LOGVAR_MAX)
+    return mu, affine(h, p["enc_lv_w"], p["enc_lv_b"]).clamp(LOGVAR_MIN, LOGVAR_MAX)
 
 
 def decoder_forward_t(z: Tensor, p: dict[str, Tensor]) -> Tensor:
     """Batched decoder: z is (M, K) -> reconstruction means (M, 2K)."""
-    h = (z @ p["dec1_w"] + p["dec1_b"]).relu()
-    return h @ p["dec2_w"] + p["dec2_b"]
+    h = affine(z, p["dec1_w"], p["dec1_b"]).relu()
+    return affine(h, p["dec2_w"], p["dec2_b"])
 
 
 # -- backends: one object per relation metric ----------------------------------

@@ -236,7 +236,12 @@ def test_criterion_3_gaussian_algebra():
     vi = BACKENDS["vi"]
 
     def rel_err(got, want):
-        return float(np.max(np.abs(got - want) / np.abs(want)))
+        # where want is exactly 0 the error is 0 if got is exactly 0 too and
+        # inf otherwise; a NaN also counts as inf, so no entry drops out
+        diff = np.abs(np.subtract(got, want))
+        ratio = np.divide(diff, np.abs(want), out=np.where(diff > 0, np.inf, 0.0),
+                          where=np.asarray(want) != 0)
+        return float(np.max(np.where(np.isnan(ratio), np.inf, ratio)))
 
     mean = rng.normal(size=(2, 20, 6))
     var = rng.uniform(0.25, 2.25, size=(2, 20, 6))

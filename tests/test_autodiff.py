@@ -5,15 +5,19 @@ weighted sum so every output coordinate influences the objective) and its
 analytic gradient is compared to a finite-difference estimate at h=1e-5.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from pathembed.autodiff import (
     Tensor,
+    affine,
     concat,
     gather_rows,
     l2norm_rows,
     pair_distance,
+    pair_hidden,
     scatter_rows,
     segment_sum,
 )
@@ -167,6 +171,22 @@ def test_scatter_rows_equals_add_at_bitwise():
             assert np.array_equal(got, want)
 
 
+def test_signed_scatter_rows_equals_add_at_then_subtract_at_bitwise():
+    rng = np.random.default_rng(9)
+    for row_shape in [(), (3,), (2, 4)]:
+        for n in [0, 1, 300]:
+            idx = rng.integers(0, 9, size=n)
+            minus = rng.integers(0, 9, size=n)
+            vals = rng.normal(size=(n,) + row_shape) * 10.0 ** rng.integers(-8, 8, size=n).reshape(
+                (n,) + (1,) * len(row_shape))
+            want = np.zeros((9,) + row_shape)
+            np.add.at(want, idx, vals)
+            np.subtract.at(want, minus, vals)
+            got = scatter_rows(idx, vals, 9, minus=minus)
+            assert got.shape == want.shape
+            assert np.array_equal(got, want)
+
+
 def test_segment_sum_grad_and_empty_segment():
     rng = np.random.default_rng(6)
     x = rng.normal(size=(6, 3))
@@ -243,6 +263,83 @@ def test_pair_distance_grad_and_zero_pairs():
 
     # zero-distance pairs contribute a zero subgradient
     assert max_rel_error(t.grad, numeric_grad(f, [x], which=0)) < TOL
+
+
+@pytest.mark.parametrize("shared", [True, False], ids=["p-is-q", "p-and-q"])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_pair_hidden_grad(sign, shared):
+    rng = np.random.default_rng(12)
+    p = rng.normal(size=(5, 4))
+    q = rng.normal(size=(6, 4))
+    # repeated indices on both sides; the fourth and fifth pairs have u == v
+    u = np.array([0, 2, 2, 3, 1, 2, 0])
+    v = np.array([1, 0, 4, 3, 1, 4, 4])
+    b = rng.normal(size=(4,))
+    w = rng.normal(size=(7, 4))
+    arrays = [p, b] if shared else [p, q, b]
+
+    def pre(arrs):
+        pp, bb = arrs[0], arrs[-1]
+        return pp[u] + sign * (pp if shared else arrs[1])[v] + bb
+
+    def f(arrs):
+        return float((np.maximum(pre(arrs), 0.0) * w).sum())
+
+    assert np.abs(pre(arrays)).min() > 1e-3  # every probe stays off the relu kink
+    tensors = [Tensor(a, requires_grad=True) for a in arrays]
+    tp, tb = tensors[0], tensors[-1]
+    out = pair_hidden(tp, tp if shared else tensors[1], u, v, tb, sign)
+    np.testing.assert_allclose(out.data, np.maximum(pre(arrays), 0.0), rtol=1e-15)
+    (out * Tensor(w)).sum().backward()
+    for i, t in enumerate(tensors):
+        assert max_rel_error(t.grad, numeric_grad(f, arrays, which=i)) < TOL
+
+
+def test_affine_grad():
+    rng = np.random.default_rng(13)
+    arrays = [rng.normal(size=(5, 3)), rng.normal(size=(3, 4)), rng.normal(size=(4,))]
+    w = rng.normal(size=(5, 4))
+
+    def f(arrs):
+        return float(((arrs[0] @ arrs[1] + arrs[2]) * w).sum())
+
+    tensors = [Tensor(a, requires_grad=True) for a in arrays]
+    out = affine(*tensors)
+    np.testing.assert_array_equal(out.data, arrays[0] @ arrays[1] + arrays[2])
+    (out * Tensor(w)).sum().backward()
+    for i, t in enumerate(tensors):
+        assert max_rel_error(t.grad, numeric_grad(f, arrays, which=i)) < TOL
+
+
+def test_backward_leaves_grads_on_leaves_only():
+    rng = np.random.default_rng(14)
+    x = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+    w = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
+    hidden = (x @ w).relu()
+    squared = hidden * hidden
+    loss = squared.sum()
+    loss.backward()
+    assert x.grad is not None and w.grad is not None
+    assert hidden.grad is None and squared.grad is None and loss.grad is None
+
+
+def test_backward_frees_interior_grads_as_it_goes():
+    # 20 chained ops over a 6.4 MB array: holding every interior gradient
+    # until the sweep ends would trace over 20 arrays' worth
+    x = Tensor(np.random.default_rng(15).normal(size=800_000), requires_grad=True)
+    y = x
+    for _ in range(20):
+        y = y * 1.0001
+    loss = y.sum()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        loss.backward()
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * x.data.nbytes
+    np.testing.assert_allclose(x.grad, 1.0001 ** 20, rtol=1e-14)
 
 
 def test_grad_accumulates_across_reuse():

@@ -214,6 +214,19 @@ class TestTrain:
         assert (key if section == "train" else f"{section}.{key}") in capsys.readouterr().err
         assert not (tmp_path / "r" / "checkpoint.npz").exists()
 
+    @pytest.mark.parametrize("section", ["train", "split", "dataset"])
+    def test_negative_seed_exits_2_naming_its_key(self, tmp_path, capsys, section):
+        payload = toy_config()
+        if section == "dataset":
+            payload["dataset"] = {"kind": "synthetic", "num_nodes": 60, "num_edges": 110}
+        payload[section]["seed"] = -1
+        cfg_path = tmp_path / "cfg.yaml"
+        write_yaml(cfg_path, payload)
+        code = main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "r")])
+        assert code == EXIT_CONFIG
+        key = "seed" if section == "train" else f"{section}.seed"
+        assert f"{key} must be >= 0" in capsys.readouterr().err
+
     def test_missing_config_file_exits_2(self, tmp_path):
         code = main(["train", "--config", str(tmp_path / "nope.yaml"),
                      "--out", str(tmp_path / "r")])
@@ -511,6 +524,14 @@ class TestSweep:
         rows = out.read_text().strip().splitlines()[1:]
         assert len(rows) == 3
         assert [r.split(",")[2] for r in rows] == ["0", "1", "2"]
+
+    def test_unknown_sweep_param_exits_2(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.yaml"
+        write_yaml(cfg_path, sweep_config([4], trials=1, param="bogus"))
+        out = tmp_path / "grid.csv"
+        assert main(["sweep", "--config", str(cfg_path), "--out", str(out)]) == EXIT_CONFIG
+        assert "sweep.param" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_resume_adds_only_missing_rows(self, tmp_path):
         cfg_path = tmp_path / "cfg.yaml"
