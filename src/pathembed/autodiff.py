@@ -2,11 +2,12 @@
 
 Small on purpose: only the operations the training objectives need are
 implemented (elementwise arithmetic, exp/log/relu/clamp, 2-D matmul,
-reductions, row gather, segment sum, concatenation, and zero-safe row
-norms and pair distances), plus two fused layers of the relation
-networks: an affine map and the pair hidden layer. All data is float64.
-Graphs are built eagerly and differentiated by an iterative topological
-sweep, so deep chains do not hit the interpreter recursion limit.
+reductions, row gather and slice, segment sum, concatenation, and
+zero-safe row norms and pair distances), plus two fused layers of the
+relation networks: an affine map and the pair hidden layer. All data is
+float64. Graphs are built eagerly and differentiated by an iterative
+topological sweep, so deep chains do not hit the interpreter recursion
+limit.
 """
 
 from __future__ import annotations
@@ -92,18 +93,28 @@ class Tensor:
                 if parent.requires_grad and id(parent) not in seen:
                     stack.append((parent, False))
         self.grad = np.ones_like(self.data)
-        # accumulation never writes in place, so an interior grad may alias
-        # the array a vjp returned; only the leaves get private copies
+        # A node's first gradient may be an array a vjp returned, which other
+        # nodes can share, or a grad the caller holds. The second one is added
+        # into a new buffer the sweep owns, and later ones into that buffer in
+        # place. Leaves end with private grads: owned buffers, or copies.
+        owned: set[int] = set()
         for node in reversed(topo):
             if node._vjp is None or node.grad is None:
                 continue
             grads, node.grad = node._vjp(node.grad), None
             for parent, pg in zip(node._parents, grads):
-                if pg is not None and parent.requires_grad:
-                    parent.grad = pg if parent.grad is None else parent.grad + pg
+                if pg is None or not parent.requires_grad:
+                    continue
+                if parent.grad is None:
+                    parent.grad = pg
+                elif id(parent) in owned:
+                    parent.grad += pg
+                else:
+                    parent.grad = np.add(parent.grad, pg, out=np.empty(parent.data.shape))
+                    owned.add(id(parent))
             grads = pg = None  # unused parent grads go before the next vjp runs
         for node in topo:
-            if node._vjp is None and node.grad is not None:
+            if node._vjp is None and node.grad is not None and id(node) not in owned:
                 node.grad = np.array(node.grad, dtype=np.float64, copy=True)
 
     # -- elementwise arithmetic ----------------------------------------
@@ -230,7 +241,9 @@ def scatter_rows(index: Array, values: Array, num_rows: int, minus: Array | None
         cols, sign = np.tile(cols, 2), np.concatenate([sign, -sign])
     if not row_shape:
         return np.bincount(index, weights=values.reshape(-1)[cols] * sign, minlength=num_rows)
-    order = np.argsort(index, kind="stable")
+    # the same stable order; numpy radix-sorts 16-bit keys
+    keys = index.astype(np.uint16) if num_rows <= 1 << 16 else index
+    order = np.argsort(keys, kind="stable")
     indptr = np.concatenate([[0], np.cumsum(np.bincount(index, minlength=num_rows))])
     onehot = sparse.csr_matrix((sign[order], cols[order], indptr), shape=(num_rows, size))
     out = onehot @ values.reshape(size, int(np.prod(row_shape)))
@@ -244,6 +257,16 @@ def gather_rows(x: Tensor, index: Array) -> Tensor:
     out_data = x.data[index]
     return Tensor(out_data, _parents=(x,),
                   _vjp=lambda g: (scatter_rows(index, g, num_rows),))
+
+
+def row_slice(x: Tensor, start: int, stop: int) -> Tensor:
+    """x[start:stop], differentiably; the grad of the other rows is 0."""
+    def vjp(g: Array):
+        grad = np.zeros_like(x.data)
+        grad[start:stop] = g
+        return (grad,)
+
+    return Tensor(x.data[start:stop], _parents=(x,), _vjp=vjp)
 
 
 def segment_sum(x: Tensor, segments: Array, num_segments: int) -> Tensor:
@@ -321,7 +344,7 @@ def pair_hidden(p: Tensor, q: Tensor, u: Array, v: Array, b: Tensor, sign: float
     np.maximum(h, 0.0, out=h)
 
     def vjp(g: Array):
-        g = np.where(h > 0.0, g, 0.0)
+        g = g * (h > 0.0)
         # p's rows on top, q's below; the scatter subtracts q's
         both = scatter_rows(u, g, n + q.data.shape[0], minus=v + n)
         return both[:n], (both[n:] if sign < 0 else -both[n:]), g.sum(axis=0)

@@ -230,8 +230,9 @@ def _sweep_point(graph, base_cfg, param, value, trial, labels, val_fraction,
     """One grid point's row. `pools` is a one-slot cache: [(pool key, pools)] or [].
 
     A point whose train graph and pool arguments equal the cached key
-    trains on the cached pools; any other point empties the slot before
-    its build and fills it with its own pools.
+    trains on the cached pools and their compiled tables, so it builds and
+    compiles nothing; any other point empties the slot before its build
+    and fills it with its own.
     """
     # deferred: training imports this module
     from pathembed.training import pool_arguments, train
@@ -250,10 +251,10 @@ def _sweep_point(graph, base_cfg, param, value, trial, labels, val_fraction,
     key = (tg.num_nodes, tg.edges.tobytes(), *pool_arguments(cfg, tg))
     if pools and pools[0][0] != key:
         pools.clear()
-    multi_pool, single_pool = pools[0][1] if pools else (None, None)
+    multi_pool, single_pool, compiled = pools[0][1] if pools else (None, None, None)
     result = train(tg, cfg, multi_pool=multi_pool, single_pool=single_pool,
-                   val_pos=split.val_pos, val_neg=split.val_neg)
-    pools[:] = [(key, (result.multi_pool, result.single_pool))]
+                   val_pos=split.val_pos, val_neg=split.val_neg, compiled=compiled)
+    pools[:] = [(key, (result.multi_pool, result.single_pool, result.compiled))]
     metrics = evaluate_split(result.state, split, cfg.backend)
     micro = float("nan")
     if labels is not None:

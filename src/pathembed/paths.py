@@ -70,23 +70,34 @@ def validate_path(graph: Graph, path: Path) -> None:
             raise ValueError(f"non-adjacent step {a}-{b} in {nodes}")
 
 
-def bfs_distances(graph: Graph, source: int, max_hops: int) -> list[int]:
-    """Hop distance from source to every node (-1 beyond max_hops)."""
+def bfs_distances(graph: Graph, source: int, max_hops: int) -> tuple[list[int], list[list[int]]]:
+    """Hop distance from source to every node (-1 beyond max_hops), and the nodes at each hop.
+
+    levels[h] lists the nodes at distance h in the order the search
+    reached them, so levels[0] is [source].
+    """
     adj = graph.adjacency
     dist = [-1] * graph.num_nodes
     dist[source] = 0
-    frontier = [int(source)]
-    hops = 0
-    while frontier and hops < max_hops:
-        hops += 1
+    levels = [[int(source)]]
+    while levels[-1] and len(levels) <= max_hops:
+        hops = len(levels)
         reached = []
-        for u in frontier:
+        for u in levels[-1]:
             for v in adj[u]:
                 if dist[v] < 0:
                     dist[v] = hops
                     reached.append(v)
-        frontier = reached
-    return dist
+        levels.append(reached)
+    return dist, levels
+
+
+def _hop_array(levels: list[list[int]], num_nodes: int) -> np.ndarray:
+    """Each node's hop from `bfs_distances` levels (-1 if not reached), in a narrow int type."""
+    hops = np.full(num_nodes, -1, dtype=np.min_scalar_type(-len(levels)))
+    for hop, nodes in enumerate(levels):
+        hops[nodes] = hop
+    return hops
 
 
 def enumerate_simple_paths(
@@ -192,15 +203,33 @@ def _bridge_forest_pairs(graph: Graph, max_len: int):
 def _hop_balls(graph: Graph, max_len: int, min_dist: int):
     """(u, BFS distances from u, every v > u at hop distance min_dist..max_len)."""
     for u in range(graph.num_nodes):
-        dist = bfs_distances(graph, u, max_len)  # -1 beyond max_len
-        yield u, dist, (np.flatnonzero(np.array(dist[u + 1:]) >= min_dist) + (u + 1)).tolist()
+        dist, levels = bfs_distances(graph, u, max_len)  # -1 beyond max_len
+        hops = _hop_array(levels, graph.num_nodes)[u + 1:]
+        yield u, dist, (np.flatnonzero(hops >= min_dist) + (u + 1)).tolist()
 
 
-def _draw_ball(graph: Graph, rng: np.random.Generator, max_len: int, min_dist: int, k: int):
-    """A random source u, its BFS distances and up to k distinct nodes in range."""
+# the most hop distances a builder keeps at once, one per node and source
+BALL_STORE_SIZE = 1 << 22
+
+
+def _draw_ball(graph: Graph, rng: np.random.Generator, max_len: int, min_dist: int, k: int,
+               store: dict[int, np.ndarray]):
+    """A random source u, its BFS distances and up to k distinct nodes in range.
+
+    `store` keeps the hop distances of the sources drawn before in this
+    builder call, so each source's search runs once. Past BALL_STORE_SIZE
+    kept distances the oldest source goes first.
+    """
     u = int(rng.integers(0, graph.num_nodes))
-    dist = bfs_distances(graph, u, max_len)  # -1 beyond max_len
-    eligible = np.flatnonzero(np.array(dist) >= min_dist)
+    hops = store.get(u)
+    if hops is None:
+        dist, levels = bfs_distances(graph, u, max_len)  # -1 beyond max_len
+        hops = store[u] = _hop_array(levels, graph.num_nodes)
+        if len(store) * graph.num_nodes > BALL_STORE_SIZE:
+            del store[next(iter(store))]
+    else:
+        dist = hops.tolist()
+    eligible = np.flatnonzero(hops >= min_dist)
     if eligible.size == 0:
         return u, dist, []
     picks = rng.choice(eligible, size=min(k, eligible.size), replace=False)
@@ -279,8 +308,9 @@ def build_multipath_pool(
                 consider(*candidates[int(k)])
         else:
             attempts = 0
+            balls: dict[int, np.ndarray] = {}
             while len(sets) < max_pairs and attempts < 8 * max_pairs:
-                u, dist, picks = _draw_ball(graph, rng, max_len, 2, 8)
+                u, dist, picks = _draw_ball(graph, rng, max_len, 2, 8, balls)
                 if not picks:
                     attempts += 8
                     continue
@@ -395,8 +425,9 @@ def build_singlepath_pool(
         budget = max(4 * max_pairs, 2000)
         misses = 0
         accepted = 0
+        balls: dict[int, np.ndarray] = {}
         while accepted < max_pairs and budget > 0 and misses < 2000:
-            u, dist, picks = _draw_ball(graph, rng, max_len, 1, min(16, budget))
+            u, dist, picks = _draw_ball(graph, rng, max_len, 1, min(16, budget), balls)
             if not picks:
                 misses += 1
                 continue

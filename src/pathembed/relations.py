@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from pathembed.autodiff import (Tensor, affine, concat, gather_rows, l2norm_rows,
-                                pair_distance, pair_hidden)
+                                pair_distance, pair_hidden, row_slice)
 
 LOGVAR_MIN, LOGVAR_MAX = -10.0, 10.0
 
@@ -103,8 +103,8 @@ def mlp_pairs_t(phi: Tensor, u: np.ndarray, v: np.ndarray, p: dict[str, Tensor])
     layer runs once per node instead of once per pair.
     """
     k = phi.shape[1]
-    top = phi @ gather_rows(p["mlp1_w"], np.arange(k))
-    bottom = phi @ gather_rows(p["mlp1_w"], np.arange(k, 2 * k))
+    top = phi @ row_slice(p["mlp1_w"], 0, k)
+    bottom = phi @ row_slice(p["mlp1_w"], k, 2 * k)
     h = pair_hidden(top, bottom, u, v, p["mlp1_b"], 1.0)
     return affine(h, p["mlp2_w"], p["mlp2_b"])
 

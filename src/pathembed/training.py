@@ -104,7 +104,7 @@ class Ragged:
 
     @classmethod
     def pack(cls, counts: list[int], *cols: list[int]) -> "Ragged":
-        return cls(np.cumsum([0, *counts], dtype=np.int64),
+        return cls(np.concatenate([[0], np.cumsum(counts, dtype=np.int64)]),
                    tuple(np.asarray(c, dtype=np.int64) for c in cols))
 
     def __len__(self) -> int:
@@ -135,6 +135,19 @@ class CompiledSingle:
     incs: Ragged              # (term, edge) per edge inside a term's span
 
 
+def _pairs_within(sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every pair (a, b), 0 <= a < b < n, for each n in `sizes`, in row-major order."""
+    distinct = np.unique(sizes)
+    triu = [np.triu_indices(n, 1) for n in distinct.tolist()]
+    pairs = sizes * (sizes - 1) // 2
+    # where each size's pairs start in the table of all distinct sizes' pairs
+    base = np.zeros(int(distinct.max(initial=0)) + 1, dtype=np.int64)
+    base[distinct] = _starts(distinct * (distinct - 1) // 2)
+    at = np.arange(pairs.sum()) + np.repeat(base[sizes] - _starts(pairs), pairs)
+    return tuple(np.concatenate([np.empty(0, np.int64), *(t[k] for t in triu)])[at]
+                 for k in (0, 1))
+
+
 def compile_multipath(pool: list[MultiPathSet]) -> CompiledMulti:
     num_paths = np.array([len(s.paths) for s in pool], dtype=np.int64)
     if not pool:
@@ -147,35 +160,37 @@ def compile_multipath(pool: list[MultiPathSet]) -> CompiledMulti:
     u, v = np.delete(flat, ends - 1), np.delete(flat, ends - sizes)
     path = np.repeat(np.arange(len(nodes)) - np.repeat(_starts(num_paths), num_paths),
                      sizes - 1)
-    # every unordered path pair (a, b), a < b, in row-major order
-    triu = {n: np.triu_indices(n, 1) for n in np.unique(num_paths).tolist()}
-    a, b = (np.concatenate([triu[n][k] for n in num_paths.tolist()]) for k in (0, 1))
+    a, b = _pairs_within(num_paths)
     return CompiledMulti(num_paths,
                          Ragged.pack(np.add.reduceat(sizes - 1, _starts(num_paths)), u, v, path),
                          Ragged.pack(num_paths * (num_paths - 1) // 2, a, b))
 
 
 def compile_singlepath(pool: SinglePathSet, graph: Graph) -> CompiledSingle:
-    u, v, term_i, term_j, inc_term, inc_edge = [], [], [], [], [], []
-    edge_counts, term_counts, inc_counts = [], [], []
-    for _, path in pool.entries:
-        nodes = path.nodes
-        first_term, first_inc = len(term_i), len(inc_term)
-        u.extend(nodes[:-1])
-        v.extend(nodes[1:])
-        for a in range(len(nodes)):
-            for b in range(a + 1, len(nodes)):
-                if graph.has_edge(int(nodes[a]), int(nodes[b])):
-                    continue
-                inc_term.extend([len(term_i) - first_term] * (b - a))
-                inc_edge.extend(range(a, b))
-                term_i.append(nodes[a])
-                term_j.append(nodes[b])
-        edge_counts.append(len(nodes) - 1)
-        term_counts.append(len(term_i) - first_term)
-        inc_counts.append(len(inc_term) - first_inc)
-    return CompiledSingle(Ragged.pack(edge_counts, u, v),
-                          Ragged.pack(term_counts, term_i, term_j),
+    if not pool.entries:
+        return CompiledSingle(*(Ragged.pack([], [], []) for _ in range(3)))
+    nodes = [p.nodes for _, p in pool.entries]
+    sizes = np.array([len(p) for p in nodes], dtype=np.int64)
+    flat = np.fromiter(chain.from_iterable(nodes), dtype=np.int64, count=int(sizes.sum()))
+    ends = np.cumsum(sizes)
+    u, v = np.delete(flat, ends - 1), np.delete(flat, ends - sizes)
+    # node pairs by their positions in the path; those joined by an edge are no terms
+    a, b = _pairs_within(sizes)
+    pair_entry = np.repeat(np.arange(len(nodes)), sizes * (sizes - 1) // 2)
+    first = (ends - sizes)[pair_entry]
+    ti, tj = flat[first + a], flat[first + b]
+    n = graph.num_nodes
+    keep = ~np.isin(np.minimum(ti, tj) * n + np.maximum(ti, tj),
+                    graph.edges[:, 0] * n + graph.edges[:, 1])
+    a, b, ti, tj, term_entry = a[keep], b[keep], ti[keep], tj[keep], pair_entry[keep]
+    term_counts = np.bincount(term_entry, minlength=len(nodes))
+    # each term is incident to the path edges a..b-1 of its span
+    span = b - a
+    inc_term = np.repeat(np.arange(a.size) - _starts(term_counts)[term_entry], span)
+    inc_edge = np.repeat(a, span) + np.arange(span.sum()) - np.repeat(_starts(span), span)
+    inc_counts = np.bincount(np.repeat(term_entry, span), minlength=len(nodes))
+    return CompiledSingle(Ragged.pack(sizes - 1, u, v),
+                          Ragged.pack(term_counts, ti, tj),
                           Ragged.pack(inc_counts, inc_term, inc_edge))
 
 
@@ -449,6 +464,7 @@ class TrainResult:
     metadata: dict
     multi_pool: list[MultiPathSet]    # the pools trained on, passed in or built
     single_pool: SinglePathSet
+    compiled: tuple[CompiledMulti, CompiledSingle]  # the tables those pools compile to
 
 
 def train(
@@ -459,6 +475,7 @@ def train(
     val_pos: np.ndarray | None = None,
     val_neg: np.ndarray | None = None,
     state: ModelState | None = None,
+    compiled: tuple[CompiledMulti, CompiledSingle] | None = None,
 ) -> TrainResult:
     """Run the full optimization on a train graph.
 
@@ -467,6 +484,8 @@ def train(
     degree-weighted negative (the contrast term) unless balance is 1.
     With validation edges, training stops once the validation AUC has not
     improved for `cfg.patience` epochs and the best parameters are restored.
+    `compiled` is the pools' tables from an earlier run on the same graph
+    (its `TrainResult.compiled`); without it the pools are compiled here.
     """
     cfg.validate()
     start = time.time()
@@ -475,8 +494,9 @@ def train(
         multi_pool = build_multipath_pool(graph, **multi_args)
     if single_pool is None:
         single_pool = build_singlepath_pool(graph, **single_args)
-    cm = compile_multipath(multi_pool)
-    cs = compile_singlepath(single_pool, graph)
+    if compiled is None:
+        compiled = compile_multipath(multi_pool), compile_singlepath(single_pool, graph)
+    cm, cs = compiled
 
     if state is None:
         state = init_state(cfg, graph)
@@ -568,7 +588,7 @@ def train(
         "best_val_auc": best_val,
     }
     return TrainResult(state=state, history=history, metadata=metadata,
-                       multi_pool=multi_pool, single_pool=single_pool)
+                       multi_pool=multi_pool, single_pool=single_pool, compiled=compiled)
 
 
 def _arrays(state: ModelState) -> dict[str, np.ndarray]:

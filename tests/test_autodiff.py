@@ -3,6 +3,7 @@
 Each op gets a scalar-valued composite (op output folded to a scalar with a
 weighted sum so every output coordinate influences the objective) and its
 analytic gradient is compared to a finite-difference estimate at h=1e-5.
+A RuntimeWarning fails a test here, so an inf * 0 in a gradient gate shows.
 """
 
 import tracemalloc
@@ -18,11 +19,14 @@ from pathembed.autodiff import (
     l2norm_rows,
     pair_distance,
     pair_hidden,
+    row_slice,
     scatter_rows,
     segment_sum,
 )
 
 from gradcheck import max_rel_error, numeric_grad
+
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 TOL = 1e-6
 
@@ -187,6 +191,22 @@ def test_signed_scatter_rows_equals_add_at_then_subtract_at_bitwise():
             assert np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("num_rows", [65535, 65536, 65537])
+def test_scatter_rows_at_the_16_bit_sort_boundary(num_rows):
+    # up to 65536 rows the ids sort as 16-bit keys; one row more takes the wide sort
+    rng = np.random.default_rng(num_rows)
+    idx = np.concatenate([[num_rows - 1, 0], rng.integers(0, num_rows, size=3000),
+                          [num_rows - 1] * 3])
+    minus = rng.permutation(idx)
+    vals = rng.normal(size=(idx.size, 3)) * 10.0 ** rng.integers(-8, 8, size=(idx.size, 1))
+    want = np.zeros((num_rows, 3))
+    np.add.at(want, idx, vals)
+    got = scatter_rows(idx, vals, num_rows)
+    assert got.tobytes() == want.tobytes()
+    np.subtract.at(want, minus, vals)
+    assert scatter_rows(idx, vals, num_rows, minus=minus).tobytes() == want.tobytes()
+
+
 def test_segment_sum_grad_and_empty_segment():
     rng = np.random.default_rng(6)
     x = rng.normal(size=(6, 3))
@@ -295,6 +315,46 @@ def test_pair_hidden_grad(sign, shared):
         assert max_rel_error(t.grad, numeric_grad(f, arrays, which=i)) < TOL
 
 
+@pytest.mark.parametrize("shared", [True, False], ids=["p-is-q", "p-and-q"])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_pair_hidden_vjp_equals_the_where_gate_bitwise(sign, shared):
+    # the vjp gates by multiplying with the relu mask; on finite inputs that is
+    # np.where's gate to the bit, also for a unit that is dead on every row
+    rng = np.random.default_rng(16)
+    p, q = rng.normal(size=(40, 6)), rng.normal(size=(30, 6))
+    u, v = rng.integers(0, 30, size=500), rng.integers(0, 30, size=500)
+    b = rng.normal(size=6)
+    b[2] = -100.0
+    tp, tb = Tensor(p, requires_grad=True), Tensor(b, requires_grad=True)
+    tq = tp if shared else Tensor(q, requires_grad=True)
+    out = pair_hidden(tp, tq, u, v, tb, sign)
+    assert not out.data[:, 2].any()
+    g = rng.normal(size=out.shape) * 10.0 ** rng.integers(-8, 8, size=(500, 1))
+    g[:, 2] = -np.abs(g[:, 2])  # the multiply gates these to -0.0, np.where to 0.0
+    got = out._vjp(g)
+    gated = np.where(out.data > 0.0, g, 0.0)
+    n = p.shape[0]
+    both = scatter_rows(u, gated, n + tq.shape[0], minus=v + n)
+    want = (both[:n], both[n:] if sign < 0 else -both[n:], gated.sum(axis=0))
+    for a, w in zip(got, want):
+        assert a.shape == w.shape and a.tobytes() == w.tobytes()
+
+
+def test_row_slice_grad_equals_the_gather_grad_bitwise():
+    rng = np.random.default_rng(17)
+    w = rng.normal(size=(8, 3))
+    phi = rng.normal(size=(5, 4))
+    grads = []
+    for take in (lambda t, a, b: row_slice(t, a, b),
+                 lambda t, a, b: gather_rows(t, np.arange(a, b))):
+        tw = Tensor(w, requires_grad=True)
+        top, bottom = take(tw, 0, 4), take(tw, 4, 8)
+        assert np.array_equal(top.data, w[:4]) and np.array_equal(bottom.data, w[4:])
+        ((Tensor(phi) @ top) * (Tensor(phi) @ bottom)).sum().backward()
+        grads.append(tw.grad)
+    assert grads[0].tobytes() == grads[1].tobytes()
+
+
 def test_affine_grad():
     rng = np.random.default_rng(13)
     arrays = [rng.normal(size=(5, 3)), rng.normal(size=(3, 4)), rng.normal(size=(4,))]
@@ -348,6 +408,37 @@ def test_grad_accumulates_across_reuse():
     t = Tensor(x, requires_grad=True)
     (t * t + 3.0 * t).sum().backward()
     np.testing.assert_allclose(t.grad, 2.0 * x + 3.0)
+
+
+def test_backward_writes_into_no_vjp_output_and_no_held_grad():
+    rng = np.random.default_rng(18)
+    x = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+    y = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+    handed = []
+
+    def vjp(g):
+        # one array handed to both parents, which then get more gradient
+        shared = g * 2.0
+        handed.append((shared, shared.copy()))
+        return shared, shared
+
+    z = Tensor(x.data + y.data, _parents=(x, y), _vjp=vjp)
+    wx, wy = rng.normal(size=(4, 3)), rng.normal(size=(4, 3))
+    loss = (z * 3.0).sum() + (x * Tensor(wx)).sum() + (x * x).sum() + (y * Tensor(wy)).sum()
+    loss.backward()
+    (shared, before), = handed
+    assert shared.tobytes() == before.tobytes()
+    assert x.grad is not shared and y.grad is not shared
+    np.testing.assert_allclose(x.grad, 6.0 + wx + 2.0 * x.data, rtol=1e-14)
+    np.testing.assert_allclose(y.grad, 6.0 + wy, rtol=1e-14)
+
+    # a second sweep adds to the leaf grads without writing into the arrays held
+    held_x, held_y = x.grad, y.grad
+    copies = held_x.copy(), held_y.copy()
+    (x * x + x * Tensor(wx) + y).sum().backward()
+    assert held_x.tobytes() == copies[0].tobytes() and held_y.tobytes() == copies[1].tobytes()
+    np.testing.assert_allclose(x.grad, copies[0] + 2.0 * x.data + wx, rtol=1e-14)
+    np.testing.assert_allclose(y.grad, copies[1] + 1.0, rtol=1e-14)
 
 
 def test_backward_requires_scalar():

@@ -366,9 +366,11 @@ def test_sweep_reports_classification_with_labels():
 
 
 def count_pool_builds(monkeypatch) -> dict:
-    """Count the builds that train() makes, by builder."""
-    builds = {"multi": 0, "single": 0}
-    for kind, name in (("multi", "build_multipath_pool"), ("single", "build_singlepath_pool")):
+    """Count the pool builds and compiles that train() makes, by function."""
+    builds = {"multi": 0, "single": 0, "compile_multi": 0, "compile_single": 0}
+    for kind, name in (("multi", "build_multipath_pool"), ("single", "build_singlepath_pool"),
+                       ("compile_multi", "compile_multipath"),
+                       ("compile_single", "compile_singlepath")):
         def counted(*args, _build=getattr(pathembed.training, name), _kind=kind, **kwargs):
             builds[_kind] += 1
             return _build(*args, **kwargs)
@@ -382,7 +384,8 @@ def test_sweep_builds_pools_once_per_split_and_matches_direct_training(monkeypat
     builds = count_pool_builds(monkeypatch)
     rows, errors = sweep(g, base, "embedding_dim", [3, 5], trials=2)
     assert errors == []
-    assert builds == {"multi": 2, "single": 2}  # one per trial's split
+    # one build and one compile per trial's split
+    assert builds == {"multi": 2, "single": 2, "compile_multi": 2, "compile_single": 2}
     assert [(r["value"], r["trial"]) for r in rows] == [(3, 0), (3, 1), (5, 0), (5, 1)]
     for row in rows:
         cfg = replace(base, embedding_dim=row["value"], seed=9973 * row["trial"])
@@ -398,7 +401,7 @@ def test_sweep_builds_pools_for_every_train_fraction(monkeypatch):
     rows, errors = sweep(sweep_graph(), sweep_cfg(), "train_fraction", [0.5, 0.8], trials=2,
                          val_fraction=0.1)
     assert errors == [] and len(rows) == 4
-    assert builds == {"multi": 4, "single": 4}
+    assert builds == {"multi": 4, "single": 4, "compile_multi": 4, "compile_single": 4}
 
 
 def test_sweep_rejects_empty_grid():

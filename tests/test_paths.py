@@ -135,8 +135,8 @@ class TestEnumerate:
 class TestBfsDistances:
     def test_distances_and_cutoff(self):
         g = Graph(5, np.array([[0, 1], [1, 2], [2, 3]]))
-        assert bfs_distances(g, 0, max_hops=4) == [0, 1, 2, 3, -1]
-        assert bfs_distances(g, 0, max_hops=2) == [0, 1, 2, -1, -1]
+        assert bfs_distances(g, 0, max_hops=4) == ([0, 1, 2, 3, -1], [[0], [1], [2], [3], []])
+        assert bfs_distances(g, 0, max_hops=2) == ([0, 1, 2, -1, -1], [[0], [1], [2]])
 
 
 class TestMultiPathPool:
@@ -284,7 +284,7 @@ class TestDistanceShortcuts:
             g = random_graph(rng, n_max=9, p=0.45)
             max_len = int(rng.integers(1, 6))
             for u in range(g.num_nodes):
-                dist = bfs_distances(g, u, max_len)
+                dist, _ = bfs_distances(g, u, max_len)
                 for v in range(g.num_nodes):
                     if v == u or dist[v] < 0:
                         continue
@@ -379,6 +379,35 @@ class TestPoolIdentity:
         assert self.digest() == self.DIGESTS["exhaustive"]
         monkeypatch.setattr(pathembed.paths, "EXHAUSTIVE_LIMIT", 0)
         assert self.digest() == self.DIGESTS["sampled"]
+
+
+class TestBallStore:
+    """Sampled draws reuse a source's BFS distances within one builder call."""
+
+    def test_stored_balls_change_no_pool_and_save_searches(self, monkeypatch):
+        g, _ = synthetic_citation_graph(seed=3, num_nodes=150, num_edges=330, num_classes=4)
+        monkeypatch.setattr(pathembed.paths, "EXHAUSTIVE_LIMIT", 0)
+        searches = []
+        search = pathembed.paths.bfs_distances
+        monkeypatch.setattr(pathembed.paths, "bfs_distances",
+                            lambda graph, u, hops: searches.append(u) or search(graph, u, hops))
+
+        def build():
+            searches.clear()
+            pools = (build_multipath_pool(g, max_len=4, max_paths=3, max_pairs=600, seed=7,
+                                          path_budget=60),
+                     build_singlepath_pool(g, max_len=5, max_pairs=400, seed=7))
+            return pools, len(searches)
+
+        stored, stored_searches = build()
+        monkeypatch.setattr(pathembed.paths, "BALL_STORE_SIZE", 0)  # every draw searches
+        fresh, fresh_searches = build()
+        monkeypatch.setattr(pathembed.paths, "BALL_STORE_SIZE", 5 * g.num_nodes)
+        evicting, evicting_searches = build()
+        assert stored == fresh == evicting
+        assert stored_searches < evicting_searches < fresh_searches
+        # each builder searches each source it draws once
+        assert stored_searches <= 2 * g.num_nodes
 
 
 class TestValidatePath:

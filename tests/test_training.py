@@ -9,7 +9,7 @@ from objective import full_objective
 from pathembed.config import ConfigError, TrainConfig, parse_section
 from pathembed.evaluation import score_pairs
 from pathembed.graph import Graph, split_edges
-from pathembed.paths import SinglePathSet, build_multipath_pool, build_singlepath_pool
+from pathembed.paths import Path, SinglePathSet, build_multipath_pool, build_singlepath_pool
 from pathembed.relations import BACKENDS, EmbeddingMatrix, TwoNorm
 from pathembed.training import (
     ADAM_EPS,
@@ -212,6 +212,60 @@ def test_compile_multipath_matches_loop_reference():
                           *zip(cm.edges.cols, edge_cols), *zip(cm.cmps.cols, cmp_cols)):
             assert got.dtype == np.int64
             assert np.array_equal(got, np.asarray(want, dtype=np.int64))
+
+
+def _loop_compile_singlepath(pool, graph):
+    """compile_singlepath's tables built entry by entry, as the reference."""
+    u, v, term_i, term_j, inc_term, inc_edge = [], [], [], [], [], []
+    edge_counts, term_counts, inc_counts = [], [], []
+    for _, path in pool.entries:
+        nodes = path.nodes
+        first_term, first_inc = len(term_i), len(inc_term)
+        u.extend(nodes[:-1])
+        v.extend(nodes[1:])
+        for a in range(len(nodes)):
+            for b in range(a + 1, len(nodes)):
+                if graph.has_edge(int(nodes[a]), int(nodes[b])):
+                    continue
+                inc_term.extend([len(term_i) - first_term] * (b - a))
+                inc_edge.extend(range(a, b))
+                term_i.append(nodes[a])
+                term_j.append(nodes[b])
+        edge_counts.append(len(nodes) - 1)
+        term_counts.append(len(term_i) - first_term)
+        inc_counts.append(len(inc_term) - first_inc)
+    return ((edge_counts, (u, v)), (term_counts, (term_i, term_j)),
+            (inc_counts, (inc_term, inc_edge)))
+
+
+def test_compile_singlepath_matches_loop_reference():
+    rng = np.random.default_rng(22)
+    cases = [(Graph(3, FOUR_CYCLE[:2]), SinglePathSet(()))]
+    for _ in range(12):
+        n = int(rng.integers(4, 14))
+        edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.35]
+        g = Graph(n, np.array(edges, dtype=np.int64).reshape(-1, 2))
+        cases.append((g, build_singlepath_pool(g, int(rng.integers(1, 6)), 60,
+                                               seed=int(rng.integers(100)))))
+        # random walks that may cross chords, which the builders never return
+        walks = []
+        for _ in range(8):
+            walk = [int(rng.integers(n))]
+            while len(walk) < 6 and (step := [w for w in g.adjacency[walk[-1]]
+                                              if w not in walk]):
+                walk.append(int(rng.choice(step)))
+            if len(walk) > 1:
+                walks.append(((min(walk[0], walk[-1]), max(walk[0], walk[-1])),
+                              Path(tuple(walk))))
+        cases.append((g, SinglePathSet(tuple(walks))))
+    assert sum(len(pool.entries) for _, pool in cases) > 100
+    for g, pool in cases:
+        cs = compile_singlepath(pool, g)
+        for table, (counts, cols) in zip((cs.edges, cs.terms, cs.incs),
+                                         _loop_compile_singlepath(pool, g)):
+            for got, want in ((table.ptr, np.cumsum([0, *counts])), *zip(table.cols, cols)):
+                assert got.dtype == np.int64
+                assert np.array_equal(got, np.asarray(want, dtype=np.int64))
 
 
 def test_compile_singlepath_skips_graph_adjacent_terms():
