@@ -102,10 +102,17 @@ def _write_json(path: FilePath, payload: dict) -> None:
         fh.write("\n")
 
 
+def _seed(text: str) -> int:
+    """A --seed value: a non-negative integer."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
     if args.seed is not None:
-        cfg.train.seed = int(args.seed)
-        cfg.split.seed = int(args.seed)
+        cfg.train.seed = args.seed
+        cfg.split.seed = args.seed
     return cfg
 
 
@@ -290,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train embeddings from a config file")
     p.add_argument("--config", required=True, help="YAML run config")
     p.add_argument("--out", required=True, help="run output directory")
-    p.add_argument("--seed", type=int, default=None, help="override all seeds")
+    p.add_argument("--seed", type=_seed, default=None, help="override all seeds")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on a saved split")
@@ -306,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="run a parameter grid, resumable")
     p.add_argument("--config", required=True, help="YAML config with sweep:")
     p.add_argument("--out", required=True, help="output CSV path")
-    p.add_argument("--seed", type=int, default=None, help="override all seeds")
+    p.add_argument("--seed", type=_seed, default=None, help="override all seeds")
     p.set_defaults(func=cmd_sweep)
     return parser
 

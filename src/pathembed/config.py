@@ -15,7 +15,7 @@ metadata, so a run directory is self-describing, and a dumped
 from __future__ import annotations
 
 import numbers
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from pathlib import Path as FilePath
 
 from pathembed.datasets import (load_prepared, synthetic_citation_graph,
@@ -245,12 +245,25 @@ def from_mapping(data: dict) -> RunConfig:
     kind = dataset.pop("kind", "synthetic")
     if not isinstance(kind, str) or kind not in DATASETS:
         raise ConfigError(f"dataset.kind must be one of {tuple(DATASETS)}, got {kind!r}")
-    return RunConfig(
+    cfg = RunConfig(
         dataset=parse_section(DATASETS[kind], dataset),
         split=parse_section(SplitConfig, data.get("split") or {}),
         train=parse_section(TrainConfig, data.get("train") or {}),
         sweep=None if data.get("sweep") is None else parse_section(SweepConfig, data["sweep"]),
     )
+    # every grid point must take each value: a train key's value must pass the
+    # train checks, and a train fraction must leave edges for validation
+    for value in cfg.sweep.values if cfg.sweep is not None else ():
+        try:
+            if cfg.sweep.param == "train_fraction":
+                check_type("train_fraction", value, "float")
+                if not 0.0 < value < 1.0 - cfg.split.val_fraction:
+                    raise ConfigError("train_fraction must lie in (0, 1 - split.val_fraction)")
+            else:
+                replace(cfg.train, **{cfg.sweep.param: value}).validate()
+        except ConfigError as exc:
+            raise ConfigError(f"sweep.values: {value!r} is refused: {exc}") from None
+    return cfg
 
 
 def load_config(path: str | FilePath) -> RunConfig:

@@ -34,7 +34,7 @@ LOG_2PI = float(np.log(2.0 * np.pi))
 
 
 class ShapeError(ValueError):
-    """Raised when parameter shapes do not chain."""
+    """Raised when an embedding table is not a 2-D matrix."""
 
 
 @dataclass
@@ -54,43 +54,16 @@ class EmbeddingMatrix:
 # -- parameters ---------------------------------------------------------------
 
 
-def _lookup(backend: str) -> "Backend":
-    try:
-        return BACKENDS[backend]
-    except KeyError:
-        raise ShapeError(f"unknown backend {backend!r}") from None
-
-
 def init_metric_params(
     backend: str, k: int, rng: np.random.Generator, hidden: int
 ) -> dict[str, np.ndarray]:
     """Fan-in uniform weights, zero biases, only the groups a backend needs."""
     params: dict[str, np.ndarray] = {}
-    for name, fan_in, fan_out in _lookup(backend).layers(k, hidden):
+    for name, fan_in, fan_out in BACKENDS[backend].layers(k, hidden):
         bound = 1.0 / np.sqrt(fan_in)
         params[f"{name}_w"] = rng.uniform(-bound, bound, size=(fan_in, fan_out))
         params[f"{name}_b"] = np.zeros(fan_out)
     return params
-
-
-def validate_params(backend: str, k: int, params: dict[str, np.ndarray]) -> None:
-    """Check that every layer chains; raises ShapeError otherwise.
-
-    The hidden width is read off the first layer's weights.
-    """
-    metric = _lookup(backend)
-    layers = metric.layers(k, 0)
-    first = params.get(f"{layers[0][0]}_w") if layers else None
-    hidden = first.shape[1] if first is not None else 0
-    for name, fan_in, fan_out in metric.layers(k, hidden):
-        w, b = params.get(f"{name}_w"), params.get(f"{name}_b")
-        if w is None or b is None:
-            raise ShapeError(f"missing parameter group {name!r}")
-        if w.shape != (fan_in, fan_out) or b.shape != (fan_out,):
-            raise ShapeError(
-                f"{name}: expected {(fan_in, fan_out)}/{(fan_out,)}, "
-                f"got {w.shape}/{b.shape}"
-            )
 
 
 # -- batched tensor-mode forwards (autodiff route) -----------------------------
@@ -191,7 +164,7 @@ class Backend:
         if self.symmetric:
             return mag
         n = mag.shape[0] // 2
-        return (gather_rows(mag, np.arange(n)) + gather_rows(mag, np.arange(n, 2 * n))) * 0.5
+        return (row_slice(mag, 0, n) + row_slice(mag, n, 2 * n)) * 0.5
 
 
 class TwoNorm(Backend):

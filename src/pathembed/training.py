@@ -23,7 +23,7 @@ from pathlib import Path as FilePath
 
 import numpy as np
 
-from pathembed.autodiff import Tensor, gather_rows, pair_distance, segment_sum
+from pathembed.autodiff import Tensor, gather_rows, pair_distance, row_slice, segment_sum
 from pathembed.config import ConfigError, TrainConfig, parse_section
 from pathembed.graph import Graph
 from pathembed.paths import (
@@ -32,14 +32,7 @@ from pathembed.paths import (
     build_multipath_pool,
     build_singlepath_pool,
 )
-from pathembed.relations import (
-    BACKENDS,
-    Backend,
-    EmbeddingMatrix,
-    ShapeError,
-    init_metric_params,
-    validate_params,
-)
+from pathembed.relations import BACKENDS, Backend, EmbeddingMatrix, init_metric_params
 
 logger = logging.getLogger(__name__)
 
@@ -83,7 +76,6 @@ def init_state(cfg: TrainConfig, graph: Graph) -> ModelState:
     bound = 1.0 / np.sqrt(k)
     phi = rng.uniform(-bound, bound, size=(graph.num_nodes, k))
     params = init_metric_params(cfg.backend, k, rng, hidden=cfg.hidden_dim)
-    validate_params(cfg.backend, k, params)
     return ModelState(EmbeddingMatrix(phi), params)
 
 
@@ -307,7 +299,7 @@ def make_step_batch(
 def _rank_loss(x: Tensor) -> Tensor:
     """Sum of softplus(link - negative), where x holds the links' values, then the negatives'."""
     n = x.shape[0] // 2
-    return (gather_rows(x, np.arange(n)) - gather_rows(x, np.arange(n, 2 * n))).softplus().sum()
+    return (row_slice(x, 0, n) - row_slice(x, n, 2 * n)).softplus().sum()
 
 
 def build_objective(
@@ -474,7 +466,6 @@ def train(
     single_pool: SinglePathSet | None = None,
     val_pos: np.ndarray | None = None,
     val_neg: np.ndarray | None = None,
-    state: ModelState | None = None,
     compiled: tuple[CompiledMulti, CompiledSingle] | None = None,
 ) -> TrainResult:
     """Run the full optimization on a train graph.
@@ -498,8 +489,7 @@ def train(
         compiled = compile_multipath(multi_pool), compile_singlepath(single_pool, graph)
     cm, cs = compiled
 
-    if state is None:
-        state = init_state(cfg, graph)
+    state = init_state(cfg, graph)
     batch_rng = np.random.default_rng(np.random.SeedSequence([int(cfg.seed), 0xBA7C4]))
     noise_rng = np.random.default_rng(np.random.SeedSequence([int(cfg.seed), 0x40153]))
     contrast_rng = np.random.default_rng(np.random.SeedSequence([int(cfg.seed), 0xC0E7A]))
@@ -624,7 +614,11 @@ def save_checkpoint(state: ModelState, cfg: TrainConfig, path: str | FilePath) -
 
 
 def load_checkpoint(path: str | FilePath) -> tuple[ModelState, TrainConfig]:
-    """The state and config a checkpoint holds; ConfigError if it is malformed or does not fit."""
+    """The state and config a checkpoint holds; ConfigError if it is malformed or does not fit.
+
+    Its arrays are those `init_state` builds from the stored config for the
+    rows of `phi`, each saved with that shape and finite; others are not read.
+    """
     try:
         data = np.load(path)
     except (ValueError, EOFError, zipfile.BadZipFile) as exc:
@@ -635,7 +629,11 @@ def load_checkpoint(path: str | FilePath) -> tuple[ModelState, TrainConfig]:
         missing = sorted({"phi", "version", "config_json", "step"} - set(data.files))
         if missing:
             raise ConfigError(f"checkpoint {path}: missing {missing}")
-        version = int(data["version"])
+        version, step = data["version"], data["step"]
+        for key, value in (("version", version), ("step", step)):
+            if value.shape != () or value.dtype.kind not in "iu":
+                raise ConfigError(f"checkpoint {path}: {key} must be an integer scalar, "
+                                  f"got {value.dtype} of shape {value.shape}")
         if version != CHECKPOINT_VERSION:
             raise ConfigError(f"checkpoint {path}: unsupported version {version}")
         try:
@@ -645,21 +643,22 @@ def load_checkpoint(path: str | FilePath) -> tuple[ModelState, TrainConfig]:
         if not isinstance(config, dict):
             raise ConfigError(f"checkpoint {path}: config_json is not a mapping")
         cfg = parse_section(TrainConfig, config)
-        phi = EmbeddingMatrix(data["phi"])
-        metric = {n[len("param_"):]: data[n] for n in data.files if n.startswith("param_")}
-        try:
-            validate_params(cfg.backend, cfg.embedding_dim, metric)
-        except ShapeError as exc:
-            raise ConfigError(f"checkpoint {path}: {exc}") from None
-        if phi.values.shape[1] != cfg.embedding_dim:
-            raise ConfigError(f"checkpoint {path}: phi has {phi.values.shape[1]} "
-                              f"columns, its config embedding_dim={cfg.embedding_dim}")
-        state = ModelState(phi, metric, step=int(data["step"]))
-        missing = sorted(set(_arrays(state)) - set(data.files))
+        phi = data["phi"]
+        # a phi of the wrong rank or with no rows fails the shape check below
+        state = init_state(cfg, Graph(max(len(np.atleast_1d(phi)), 1), np.empty((0, 2))))
+        state.step = int(step)
+        arrays = _arrays(state)
+        missing = sorted(set(arrays) - set(data.files))
         if missing:
             raise ConfigError(f"checkpoint {path}: missing {missing}")
-        for k, a in _arrays(state).items():
-            a[...] = data[k]
+        for key, a in arrays.items():
+            saved = phi if key == "phi" else data[key]
+            if saved.shape != a.shape:
+                raise ConfigError(f"checkpoint {path}: {key} has shape {saved.shape}, "
+                                  f"its config implies {a.shape}")
+            if saved.dtype.kind not in "iuf" or not np.isfinite(saved).all():
+                raise ConfigError(f"checkpoint {path}: {key} must hold finite numbers")
+            a[...] = saved
     return state, cfg
 
 

@@ -227,6 +227,18 @@ class TestTrain:
         key = "seed" if section == "train" else f"{section}.seed"
         assert f"{key} must be >= 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["train", "sweep"])
+    @pytest.mark.parametrize("seed", ["-1", "1.5"])
+    def test_bad_seed_option_exits_2_naming_it(self, tmp_path, capsys, command, seed):
+        cfg_path = tmp_path / "cfg.yaml"
+        write_yaml(cfg_path, sweep_config([4], trials=1))
+        out = tmp_path / ("r" if command == "train" else "grid.csv")
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--config", str(cfg_path), "--out", str(out), "--seed", seed])
+        assert exit_info.value.code == EXIT_CONFIG
+        assert f"--seed: must be a non-negative integer, got '{seed}'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_config_file_exits_2(self, tmp_path):
         code = main(["train", "--config", str(tmp_path / "nope.yaml"),
                      "--out", str(tmp_path / "r")])
@@ -290,8 +302,9 @@ class TestEval:
         assert "mismatch" in capsys.readouterr().err
 
     @pytest.mark.parametrize("breakage,message", [
-        (lambda arrays: arrays.pop("param_enc1_w"), "'enc1'"),
-        (lambda arrays: arrays.update(phi=arrays["phi"][:, :4]), "phi has 4 columns"),
+        (lambda arrays: arrays.pop("param_enc1_w"), "missing ['param_enc1_w']"),
+        (lambda arrays: arrays.update(phi=arrays["phi"][:, :4]),
+         "phi has shape (16, 4), its config implies (16, 8)"),
         (lambda arrays: arrays.update(version=np.asarray(1)), "version 1"),
         (as_version_2, "version 2"),
         (lambda arrays: arrays.pop("adam_v_phi"), "missing ['adam_v_phi']"),
@@ -303,9 +316,28 @@ class TestEval:
          "config_json is not JSON"),
         (lambda arrays: arrays.update(config_json=np.frombuffer(b"8", np.uint8)),
          "config_json is not a mapping"),
+        (lambda arrays: arrays.update(adam_m_phi=arrays["adam_m_phi"][:3]),
+         "adam_m_phi has shape (3, 8), its config implies (16, 8)"),
+        (lambda arrays: arrays.update(phi=arrays["phi"][:, 0]),
+         "phi has shape (16,), its config implies (16, 8)"),
+        (lambda arrays: arrays["phi"].__setitem__((2, 3), np.nan),
+         "phi must hold finite numbers"),
+        (lambda arrays: arrays.update(adam_v_enc_mu_b=np.full_like(arrays["adam_v_enc_mu_b"],
+                                                                   np.inf)),
+         "adam_v_enc_mu_b must hold finite numbers"),
+        (lambda arrays: arrays.update(step=np.array([5, 6])),
+         "step must be an integer scalar, got int64 of shape (2,)"),
+        (lambda arrays: arrays.update(version=np.array([3])),
+         "version must be an integer scalar, got int64 of shape (1,)"),
+        (lambda arrays: arrays.update(version=np.asarray(3.0)),
+         "version must be an integer scalar, got float64 of shape ()"),
+        (lambda arrays: arrays.update(param_dec2_w=arrays["param_dec2_w"][:, :3]),
+         "param_dec2_w has shape (16, 3), its config implies (16, 16)"),
     ], ids=["missing-group", "narrow-phi", "version-1", "version-2", "missing-moment",
             "missing-phi", "missing-version", "missing-config", "missing-step",
-            "config-not-json", "config-not-mapping"])
+            "config-not-json", "config-not-mapping", "short-moment", "flat-phi",
+            "nan-phi", "inf-moment", "step-vector", "version-vector", "version-float",
+            "bad-chain"])
     def test_malformed_or_old_checkpoint_exits_2(self, toy_run, tmp_path, capsys,
                                                   breakage, message):
         with np.load(toy_run / "checkpoint.npz") as data:
@@ -532,6 +564,30 @@ class TestSweep:
         assert main(["sweep", "--config", str(cfg_path), "--out", str(out)]) == EXIT_CONFIG
         assert "sweep.param" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("param,values,message", [
+        ("embedding_dim", [4, 0, -1], "sweep.values: 0 is refused: embedding_dim must be >= 1"),
+        ("backend", ["2n", "cosine"], "sweep.values: 'cosine' is refused: backend must be one"),
+        ("balance", [0.5, "high"], "sweep.values: 'high' is refused: balance must be float"),
+        ("train_fraction", [0.5, 0.9, 1.5],
+         "sweep.values: 0.9 is refused: train_fraction must lie in (0, 1 - split.val_fraction)"),
+        ("train_fraction", [0.5, True], "sweep.values: True is refused: train_fraction must be"),
+    ], ids=["embedding-dim", "backend", "balance-string", "train-fraction-range",
+            "train-fraction-bool"])
+    def test_bad_sweep_value_exits_2_naming_it(self, tmp_path, capsys, param, values,
+                                               message):
+        cfg_path = tmp_path / "cfg.yaml"
+        write_yaml(cfg_path, sweep_config(values, trials=1, param=param))
+        out = tmp_path / "grid.csv"
+        assert main(["sweep", "--config", str(cfg_path), "--out", str(out)]) == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_every_good_sweep_value_loads(self):
+        payload = sweep_config([0.05, 0.5, 0.899], trials=1, param="train_fraction")
+        assert from_mapping(payload).sweep.values == [0.05, 0.5, 0.899]
+        payload = sweep_config([0, 7], trials=1, param="seed")
+        assert from_mapping(payload).sweep.values == [0, 7]
 
     def test_resume_adds_only_missing_rows(self, tmp_path):
         cfg_path = tmp_path / "cfg.yaml"

@@ -1,7 +1,7 @@
 """Layout rules: the oracle stands apart from the package, the public surface is
-explicit, the package holds no name that only tests use, config.py sits below
-the modules that read configs, and the README documents every training, split
-and sweep setting."""
+explicit, the package holds no name and no parameter default that only tests
+use, config.py sits below the modules that read configs, and the README
+documents every training, split and sweep setting."""
 
 import ast
 import re
@@ -112,6 +112,45 @@ def test_every_package_name_has_a_production_caller():
     unused = [d for d in defined if d.rsplit(".", 1)[1] not in named | attributes]
     unused += [m for m, name, inside in methods if name not in attributes | inside]
     assert unused == []
+
+
+def test_every_defaulted_parameter_is_passed_by_a_production_call():
+    # a default that nothing in the package or the benchmark harness
+    # overrides is a setting only tests use. Calls are matched by name; a
+    # call to a class calls its __init__, and a call with *args or **kwargs
+    # passes every parameter those could fill
+    package = sorted(PACKAGE.glob("*.py"))
+    trees = [(path.stem, ast.parse(path.read_text(encoding="utf-8")))
+             for path in package + sorted((TESTS.parent / "perfbench").glob("*.py"))]
+    calls: dict[str, list[tuple[int, bool, set, bool]]] = {}
+    for _, tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
+                name = node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+                starred = any(isinstance(a, ast.Starred) for a in node.args)
+                keywords = {k.arg for k in node.keywords}
+                calls.setdefault(name, []).append(
+                    (len(node.args), starred, keywords - {None}, None in keywords))
+    unpassed = []
+    for module, tree in trees[:len(package)]:
+        functions = [(node.name, node, False) for node in tree.body
+                     if isinstance(node, ast.FunctionDef)]
+        for cls in (n for n in tree.body if isinstance(n, ast.ClassDef)):
+            functions += [(cls.name if m.name == "__init__" else m.name, m,
+                           "staticmethod" not in {getattr(d, "id", "") for d in m.decorator_list})
+                          for m in cls.body if isinstance(m, ast.FunctionDef)]
+        for called, fn, bound in functions:
+            args = fn.args
+            positional = [a.arg for a in args.posonlyargs + args.args]
+            defaulted = positional[len(positional) - len(args.defaults):]
+            defaulted += [a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                         if d is not None]
+            for param in defaulted:
+                at = positional.index(param) - bound if param in positional else None
+                if not any(param in keywords or splat or (at is not None and (at < count or star))
+                           for count, star, keywords, splat in calls.get(called, [])):
+                    unpassed.append(f"{module}.{fn.name}({param}=)")
+    assert unpassed == []
 
 
 def readme_config_keys(name: str) -> list[str]:

@@ -23,10 +23,8 @@ from oracle import (
 from pathembed.autodiff import Tensor
 from pathembed.relations import (
     BACKENDS,
-    ShapeError,
     decoder_forward_t,
     init_metric_params,
-    validate_params,
 )
 
 
@@ -315,23 +313,6 @@ class TestInitAndValidation:
             else:
                 bound = 1.0 / np.sqrt(arr.shape[0])
                 assert np.abs(arr).max() <= bound
-
-    @pytest.mark.parametrize("backend", ["2n", "mlp", "vi"])
-    def test_validate_accepts_own_init(self, backend):
-        params = init_metric_params(backend, 5, np.random.default_rng(0), hidden=7)
-        validate_params(backend, 5, params)
-
-    def test_validate_rejects_bad_chain(self):
-        params = init_metric_params("mlp", 5, np.random.default_rng(0), hidden=7)
-        params["mlp2_w"] = params["mlp2_w"][:, :3]
-        with pytest.raises(ShapeError):
-            validate_params("mlp", 5, params)
-
-    def test_unknown_backend(self):
-        with pytest.raises(ShapeError):
-            init_metric_params("cosine", 2, np.random.default_rng(0), hidden=4)
-        with pytest.raises(ShapeError):
-            validate_params("cosine", 2, {})
 
 
 class TestTensorRouteParity:

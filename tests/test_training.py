@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from objective import full_objective
+import pathembed.training
 from pathembed.config import ConfigError, TrainConfig, parse_section
 from pathembed.evaluation import score_pairs
 from pathembed.graph import Graph, split_edges
@@ -731,20 +732,24 @@ def test_train_four_cycle_drives_equivalence_loss_down():
 def test_train_on_tree_with_full_balance_is_a_no_op():
     g = Graph(5, PATH_FIVE)
     cfg = small_cfg(backend="mlp", balance=1.0, epochs=2)
-    state0 = init_state(cfg, g)
-    phi0 = state0.embeddings.values.copy()
-    r = train(g, cfg, state=state0)
-    assert np.array_equal(r.state.embeddings.values, phi0)
+    r = train(g, cfg)
+    assert r.state.step > 0
+    assert np.array_equal(r.state.embeddings.values, init_state(cfg, g).embeddings.values)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_train_raises_on_poisoned_state():
+def test_train_raises_on_poisoned_state(monkeypatch):
     g = Graph(7, CYCLE_WITH_TAIL)
     cfg = small_cfg(epochs=1)
-    state = init_state(cfg, g)
-    state.embeddings.values[0, 0] = np.inf
+
+    def poisoned(cfg, graph):
+        state = init_state(cfg, graph)
+        state.embeddings.values[0, 0] = np.inf
+        return state
+
+    monkeypatch.setattr(pathembed.training, "init_state", poisoned)
     with pytest.raises(TrainingError):
-        train(g, cfg, state=state)
+        train(g, cfg)
 
 
 def test_train_early_stops_and_restores_best():
@@ -788,16 +793,21 @@ def test_checkpoint_round_trip(tmp_path):
         assert np.array_equal(state2.adam_v[name], r.state.adam_v[name])
 
 
-def test_checkpoint_resume_continues_training(tmp_path):
+@pytest.mark.parametrize("backend", list(BACKENDS))
+def test_checkpoint_of_each_backend_loads_bit_identical(tmp_path, backend):
+    # every array init_state builds is saved and loaded back as it was
     g = Graph(7, CYCLE_WITH_TAIL)
-    cfg = small_cfg(epochs=2)
-    r = train(g, cfg)
+    cfg = small_cfg(backend=backend, hidden_dim=5, epochs=1)
+    state = train(g, cfg).state
     path = tmp_path / "model.npz"
-    save_checkpoint(r.state, cfg, path)
+    save_checkpoint(state, cfg, path)
     state2, cfg2 = load_checkpoint(path)
-    r2 = train(g, cfg2, state=state2)
-    assert r2.state.step > r.state.step
-    assert np.isfinite(r2.history[-1]["loss"])
+    assert cfg2 == cfg and state2.step == state.step
+    want, got = pathembed.training._arrays(state), pathembed.training._arrays(state2)
+    assert list(got) == list(want)
+    for key in want:
+        assert got[key].dtype == want[key].dtype
+        assert got[key].tobytes() == want[key].tobytes(), key
 
 
 def test_history_csv_round_trip(tmp_path):
