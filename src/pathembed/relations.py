@@ -33,10 +33,6 @@ LOGVAR_MIN, LOGVAR_MAX = -10.0, 10.0
 LOG_2PI = float(np.log(2.0 * np.pi))
 
 
-class ShapeError(ValueError):
-    """Raised when an embedding table is not a 2-D matrix."""
-
-
 @dataclass
 class EmbeddingMatrix:
     """The trainable N x K node-embedding table."""
@@ -45,10 +41,6 @@ class EmbeddingMatrix:
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.ndim != 2:
-            raise ShapeError("embeddings must be a 2-D matrix")
-        if not np.isfinite(self.values).all():
-            raise ValueError("embeddings contain non-finite entries")
 
 
 # -- parameters ---------------------------------------------------------------

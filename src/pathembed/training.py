@@ -17,7 +17,7 @@ import json
 import logging
 import time
 import zipfile
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from itertools import chain
 from pathlib import Path as FilePath
 
@@ -37,7 +37,7 @@ from pathembed.relations import BACKENDS, Backend, EmbeddingMatrix, init_metric_
 logger = logging.getLogger(__name__)
 
 HISTORY_COLUMNS = ("loss", "loss_mul", "loss_sin", "elbo", "loss_rank")
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 
 
 class TrainingError(RuntimeError):
@@ -46,26 +46,15 @@ class TrainingError(RuntimeError):
 
 @dataclass
 class ModelState:
+    """A model: the node embeddings and the relation network's weights."""
+
     embeddings: EmbeddingMatrix
     metric_params: dict[str, np.ndarray]
-    adam_m: dict[str, np.ndarray] = field(default_factory=dict)
-    adam_v: dict[str, np.ndarray] = field(default_factory=dict)
-    step: int = 0
-
-    def __post_init__(self):
-        for name, arr in self.trainables().items():
-            self.adam_m.setdefault(name, np.zeros_like(arr))
-            self.adam_v.setdefault(name, np.zeros_like(arr))
 
     def trainables(self) -> dict[str, np.ndarray]:
         out = {"phi": self.embeddings.values}
         out.update(self.metric_params)
         return out
-
-    def check_finite(self) -> None:
-        for name, arr in self.trainables().items():
-            if not np.isfinite(arr).all():
-                raise TrainingError(f"non-finite values in {name} at step {self.step}")
 
 
 def init_state(cfg: TrainConfig, graph: Graph) -> ModelState:
@@ -392,25 +381,26 @@ def contrast_triplets(edges: np.ndarray, rng: np.random.Generator) -> np.ndarray
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
-def adam_step(state: ModelState, grads: dict[str, np.ndarray], cfg: TrainConfig) -> ModelState:
-    """Bias-corrected Adam update, in place."""
-    state.step += 1
-    t = state.step
+def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
+              moments: dict[str, tuple[np.ndarray, np.ndarray]], t: int,
+              cfg: TrainConfig) -> None:
+    """Bias-corrected Adam update of `params` in place, at step t (counting from 1).
+
+    `moments[name]` is the (m, v) pair of `params[name]`, updated in place
+    too; a name without a gradient is left alone.
+    """
     c1 = 1.0 - ADAM_BETA1 ** t
     c2 = 1.0 - ADAM_BETA2 ** t
-    trainables = state.trainables()
-    for name, arr in trainables.items():
+    for name, arr in params.items():
         g = grads.get(name)
         if g is None:
             continue
-        m = state.adam_m[name]
-        v = state.adam_v[name]
+        m, v = moments[name]
         m *= ADAM_BETA1
         m += (1.0 - ADAM_BETA1) * g
         v *= ADAM_BETA2
         v += (1.0 - ADAM_BETA2) * (g * g)
         arr -= cfg.learning_rate * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
-    return state
 
 
 # -- training loop -------------------------------------------------------------
@@ -475,6 +465,8 @@ def train(
     degree-weighted negative (the contrast term) unless balance is 1.
     With validation edges, training stops once the validation AUC has not
     improved for `cfg.patience` epochs and the best parameters are restored.
+    Adam's moments and step count live only for the call: the result's
+    state is the model alone.
     `compiled` is the pools' tables from an earlier run on the same graph
     (its `TrainResult.compiled`); without it the pools are compiled here.
     """
@@ -490,6 +482,9 @@ def train(
     cm, cs = compiled
 
     state = init_state(cfg, graph)
+    params = state.trainables()
+    moments = {n: (np.zeros_like(a), np.zeros_like(a)) for n, a in params.items()}
+    step = 0
     batch_rng = np.random.default_rng(np.random.SeedSequence([int(cfg.seed), 0xBA7C4]))
     noise_rng = np.random.default_rng(np.random.SeedSequence([int(cfg.seed), 0x40153]))
     contrast_rng = np.random.default_rng(np.random.SeedSequence([int(cfg.seed), 0xC0E7A]))
@@ -506,7 +501,7 @@ def train(
 
     history: list[dict] = []
     best_val = None
-    best_snapshot = None
+    best_params = None
     stale_epochs = 0
     epochs_run = 0
     stopped_early = False
@@ -531,18 +526,19 @@ def train(
             contrast = contrast_triplets(graph.edges, contrast_rng) if use_contrast else None
             sb = make_step_batch(metric, cm, cs, set_ids, entry_ids, elbo_pairs, noise,
                                  contrast)
+            step += 1
             tensors = _tensors(state)
             total, parts = build_objective(tensors, sb, cfg)
             if not np.isfinite(parts["loss"]):
-                raise TrainingError(
-                    f"non-finite loss at step {state.step + 1}: {parts}"
-                )
+                raise TrainingError(f"non-finite loss at step {step}: {parts}")
             if total.requires_grad:
                 total.backward()
             grads = {n: t.grad for n, t in tensors.items() if t.grad is not None}
-            adam_step(state, grads, cfg)
-            state.check_finite()
-            history.append({"step": state.step, **{k: parts[k] for k in HISTORY_COLUMNS}})
+            adam_step(params, grads, moments, step, cfg)
+            for name, arr in params.items():
+                if not np.isfinite(arr).all():
+                    raise TrainingError(f"non-finite values in {name} at step {step}")
+            history.append({"step": step, **{k: parts[k] for k in HISTORY_COLUMNS}})
         if track_val:
             pos = score_pairs(state, val_pos, cfg.backend)
             neg = score_pairs(state, val_neg, cfg.backend)
@@ -550,7 +546,7 @@ def train(
             improved = best_val is None or val_auc > best_val + 1e-6
             if improved:
                 best_val = val_auc
-                best_snapshot = _snapshot(state)
+                best_params = {n: a.copy() for n, a in params.items()}
                 stale_epochs = 0
             else:
                 stale_epochs += 1
@@ -564,8 +560,9 @@ def train(
         else:
             logger.info("epoch %d loss %.4f", epoch + 1, history[-1]["loss"])
 
-    if best_snapshot is not None:
-        _restore(state, best_snapshot)
+    if best_params is not None:
+        for name, arr in params.items():
+            arr[...] = best_params[name]
 
     metadata = {
         "pool_multi_sets": n_sets,
@@ -582,22 +579,9 @@ def train(
 
 
 def _arrays(state: ModelState) -> dict[str, np.ndarray]:
-    """The state's live arrays under their checkpoint names."""
-    out = {"phi": state.embeddings.values}
-    for prefix, group in (("param_", state.metric_params), ("adam_m_", state.adam_m),
-                          ("adam_v_", state.adam_v)):
-        out.update({prefix + n: a for n, a in group.items()})
-    return out
-
-
-def _snapshot(state: ModelState) -> tuple[int, dict]:
-    return state.step, {k: a.copy() for k, a in _arrays(state).items()}
-
-
-def _restore(state: ModelState, snap: tuple[int, dict]) -> None:
-    state.step, arrays = snap
-    for k, a in _arrays(state).items():
-        a[...] = arrays[k]
+    """The model's live arrays under their checkpoint names."""
+    return {"phi": state.embeddings.values,
+            **{"param_" + n: a for n, a in state.metric_params.items()}}
 
 
 # -- persistence ---------------------------------------------------------------
@@ -606,7 +590,6 @@ def _restore(state: ModelState, snap: tuple[int, dict]) -> None:
 def save_checkpoint(state: ModelState, cfg: TrainConfig, path: str | FilePath) -> None:
     np.savez_compressed(
         path, **_arrays(state),
-        step=np.asarray(state.step, dtype=np.int64),
         version=np.asarray(CHECKPOINT_VERSION, dtype=np.int64),
         config_json=np.frombuffer(json.dumps(asdict(cfg), sort_keys=True).encode(),
                                   dtype=np.uint8),
@@ -625,34 +608,39 @@ def load_checkpoint(path: str | FilePath) -> tuple[ModelState, TrainConfig]:
         raise ConfigError(f"checkpoint {path} is not an .npz archive: {exc}") from None
     if not isinstance(data, np.lib.npyio.NpzFile):
         raise ConfigError(f"checkpoint {path} is not an .npz archive")
+
+    def read(key: str) -> np.ndarray:
+        try:
+            return data[key]
+        except ValueError as exc:  # an object array, which would need pickle
+            raise ConfigError(f"checkpoint {path}: {key} cannot be read: {exc}") from None
+
     with data:
-        missing = sorted({"phi", "version", "config_json", "step"} - set(data.files))
+        missing = sorted({"phi", "version", "config_json"} - set(data.files))
         if missing:
             raise ConfigError(f"checkpoint {path}: missing {missing}")
-        version, step = data["version"], data["step"]
-        for key, value in (("version", version), ("step", step)):
-            if value.shape != () or value.dtype.kind not in "iu":
-                raise ConfigError(f"checkpoint {path}: {key} must be an integer scalar, "
-                                  f"got {value.dtype} of shape {value.shape}")
+        version = read("version")
+        if version.shape != () or version.dtype.kind not in "iu":
+            raise ConfigError(f"checkpoint {path}: version must be an integer scalar, "
+                              f"got {version.dtype} of shape {version.shape}")
         if version != CHECKPOINT_VERSION:
             raise ConfigError(f"checkpoint {path}: unsupported version {version}")
         try:
-            config = json.loads(bytes(data["config_json"]).decode())
+            config = json.loads(bytes(read("config_json")).decode())
         except ValueError as exc:
             raise ConfigError(f"checkpoint {path}: config_json is not JSON: {exc}") from None
         if not isinstance(config, dict):
             raise ConfigError(f"checkpoint {path}: config_json is not a mapping")
         cfg = parse_section(TrainConfig, config)
-        phi = data["phi"]
+        phi = read("phi")
         # a phi of the wrong rank or with no rows fails the shape check below
         state = init_state(cfg, Graph(max(len(np.atleast_1d(phi)), 1), np.empty((0, 2))))
-        state.step = int(step)
         arrays = _arrays(state)
         missing = sorted(set(arrays) - set(data.files))
         if missing:
             raise ConfigError(f"checkpoint {path}: missing {missing}")
         for key, a in arrays.items():
-            saved = phi if key == "phi" else data[key]
+            saved = phi if key == "phi" else read(key)
             if saved.shape != a.shape:
                 raise ConfigError(f"checkpoint {path}: {key} has shape {saved.shape}, "
                                   f"its config implies {a.shape}")
@@ -663,9 +651,9 @@ def load_checkpoint(path: str | FilePath) -> tuple[ModelState, TrainConfig]:
 
 
 def save_history(history: list[dict], path: str | FilePath) -> None:
-    """One CSV row per step; loss_rank is written when the rows carry it."""
-    columns = [c for c in HISTORY_COLUMNS if not history or c in history[0]]
+    """One CSV row per step: its number and its HISTORY_COLUMNS."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(["step", *columns]) + "\n")
+        fh.write(",".join(["step", *HISTORY_COLUMNS]) + "\n")
         for row in history:
-            fh.write(",".join([str(row["step"]), *(f"{row[c]:.10g}" for c in columns)]) + "\n")
+            fh.write(",".join([str(row["step"]),
+                               *(f"{row[c]:.10g}" for c in HISTORY_COLUMNS)]) + "\n")
