@@ -21,6 +21,7 @@ from pathlib import Path as FilePath
 from pathembed.config import ConfigError, RunConfig, load_config
 from pathembed.datasets import DatasetError, prepare_dataset
 from pathembed.evaluation import (
+    _TRIAL_SEED_STRIDE,
     classify_nodes,
     evaluate_split,
     read_sweep_rows,
@@ -218,12 +219,13 @@ def cmd_eval(args: argparse.Namespace) -> int:
             f"nodes but the split graph has {split.train_graph.num_nodes}"
         )
 
+    # the run's own labels are optional, an explicit --labels file is not
+    labels_path = FilePath(args.split).parent / "labels.tsv"
+    if args.labels is not None:
+        labels_path = FilePath(args.labels)
+        if not labels_path.is_file():
+            raise ConfigError(f"--labels {args.labels} is not a file")
     metrics = evaluate_split(state, split, tcfg.backend)
-    labels_path = (
-        FilePath(args.labels)
-        if args.labels
-        else FilePath(args.split).parent / "labels.tsv"
-    )
     if labels_path.is_file():
         identity = {str(i): i for i in range(num_nodes)}
         labels, class_names = load_labels(labels_path, identity, num_nodes)
@@ -247,7 +249,11 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    cfg = _apply_overrides(load_config(args.config), args)
+    cfg = load_config(args.config)
+    if cfg.split.seed is not None:  # checked before --seed, which sets it
+        raise ConfigError(f"{args.config}: split.seed is not used by sweep: trial t "
+                          f"splits at train.seed + {_TRIAL_SEED_STRIDE}*t; remove split.seed")
+    cfg = _apply_overrides(cfg, args)
     if cfg.sweep is None:
         raise ConfigError("the sweep command needs a sweep: section")
     out_path = FilePath(args.out)

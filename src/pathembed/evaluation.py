@@ -230,9 +230,9 @@ def _sweep_point(graph, base_cfg, param, value, trial, labels, val_fraction,
     """One grid point's row. `pools` is a one-slot cache: [(pool key, pools)] or [].
 
     A point whose train graph and pool arguments equal the cached key
-    trains on the cached pools and their compiled tables, so it builds and
-    compiles nothing; any other point empties the slot before its build
-    and fills it with its own.
+    trains on the cached pools, so it builds none; any other point empties
+    the slot before its build and fills it with its own. `train()`
+    validates the point's config.
     """
     # deferred: training imports this module
     from pathembed.training import pool_arguments, train
@@ -245,16 +245,15 @@ def _sweep_point(graph, base_cfg, param, value, trial, labels, val_fraction,
         split = split_edges(graph, val_fraction, 1.0 - val_fraction - frac, cfg.seed)
     else:
         cfg = replace(cfg, **{param: value})
-        cfg.validate()
         split = split_edges(graph, val_fraction, test_fraction, cfg.seed)
     tg = split.train_graph
     key = (tg.num_nodes, tg.edges.tobytes(), *pool_arguments(cfg, tg))
     if pools and pools[0][0] != key:
         pools.clear()
-    multi_pool, single_pool, compiled = pools[0][1] if pools else (None, None, None)
+    multi_pool, single_pool = pools[0][1] if pools else (None, None)
     result = train(tg, cfg, multi_pool=multi_pool, single_pool=single_pool,
-                   val_pos=split.val_pos, val_neg=split.val_neg, compiled=compiled)
-    pools[:] = [(key, (result.multi_pool, result.single_pool, result.compiled))]
+                   val_pos=split.val_pos, val_neg=split.val_neg)
+    pools[:] = [(key, (result.multi_pool, result.single_pool))]
     metrics = evaluate_split(result.state, split, cfg.backend)
     micro = float("nan")
     if labels is not None:

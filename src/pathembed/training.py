@@ -1,14 +1,14 @@
 """Objective assembly, exact gradients, Adam, and the training loop.
 
-Pools are compiled once into per-item tables (edge endpoints, path ids,
-comparison pairs, term incidences) whose ids count from 0 within their
-item. Each optimizer step samples a batch of multi-path sets,
-single-path entries, and (vi backend) train edges for the ELBO term, and
-pairs every train edge with a fresh negative node for the edge contrast
-term. It deduplicates the node pairs that the path and ELBO terms touch,
-lays out the contrast links as the backend's `link_rows`, runs the
-relation backend once over each set of pairs, and scatters the results
-into the loss terms through the autodiff engine.
+Every `train()` call compiles its pools into per-item tables (edge
+endpoints, path ids, comparison pairs, term incidences) whose ids count
+from 0 within their item. Each optimizer step samples a batch of
+multi-path sets, single-path entries, and train edges for the ELBO term
+(none without one), and pairs every train edge with a fresh negative
+node for the edge contrast term. It deduplicates the node pairs that the
+path and ELBO terms touch, lays out the contrast links as the backend's
+`link_rows`, runs the relation backend once over each set of pairs, and
+scatters the results into the loss terms through the autodiff engine.
 """
 
 from __future__ import annotations
@@ -246,12 +246,9 @@ def make_step_batch(
     tc, t_i, t_j = cs.terms.take(entry_ids)
     ic, s_inc_term, s_inc_edge = cs.incs.take(entry_ids)
 
-    empty = np.empty(0, dtype=np.int64)
-    e_u = elbo_pairs[:, 0] if elbo_pairs.size else empty
-    e_v = elbo_pairs[:, 1] if elbo_pairs.size else empty
+    e_u, e_v = elbo_pairs.T
 
-    cu, cv, cw = np.asarray(contrast if contrast is not None else empty,
-                            dtype=np.int64).reshape(-1, 3).T
+    cu, cv, cw = np.asarray([] if contrast is None else contrast, dtype=np.int64).reshape(-1, 3).T
     c_unique_u, c_unique_v = metric.link_rows(np.concatenate([cu, cu]),
                                               np.concatenate([cv, cw]))
 
@@ -446,7 +443,6 @@ class TrainResult:
     metadata: dict
     multi_pool: list[MultiPathSet]    # the pools trained on, passed in or built
     single_pool: SinglePathSet
-    compiled: tuple[CompiledMulti, CompiledSingle]  # the tables those pools compile to
 
 
 def train(
@@ -456,7 +452,6 @@ def train(
     single_pool: SinglePathSet | None = None,
     val_pos: np.ndarray | None = None,
     val_neg: np.ndarray | None = None,
-    compiled: tuple[CompiledMulti, CompiledSingle] | None = None,
 ) -> TrainResult:
     """Run the full optimization on a train graph.
 
@@ -466,9 +461,8 @@ def train(
     With validation edges, training stops once the validation AUC has not
     improved for `cfg.patience` epochs and the best parameters are restored.
     Adam's moments and step count live only for the call: the result's
-    state is the model alone.
-    `compiled` is the pools' tables from an earlier run on the same graph
-    (its `TrainResult.compiled`); without it the pools are compiled here.
+    state is the model alone. A pool not given is built here, and both
+    are compiled into their tables on every call.
     """
     cfg.validate()
     start = time.time()
@@ -477,9 +471,7 @@ def train(
         multi_pool = build_multipath_pool(graph, **multi_args)
     if single_pool is None:
         single_pool = build_singlepath_pool(graph, **single_args)
-    if compiled is None:
-        compiled = compile_multipath(multi_pool), compile_singlepath(single_pool, graph)
-    cm, cs = compiled
+    cm, cs = compile_multipath(multi_pool), compile_singlepath(single_pool, graph)
 
     state = init_state(cfg, graph)
     params = state.trainables()
@@ -491,11 +483,10 @@ def train(
 
     n_sets, n_entries = len(cm.edges), len(cs.edges)
     metric = BACKENDS[cfg.backend]
-    use_elbo = metric.elbo is not None and graph.num_edges > 0
     use_contrast = cfg.balance < 1.0 and graph.num_edges > 0
     set_cycler = _Cycler(n_sets, batch_rng)
     entry_cycler = _Cycler(n_entries, batch_rng)
-    edge_cycler = _Cycler(graph.num_edges if use_elbo else 0, batch_rng)
+    edge_cycler = _Cycler(graph.num_edges if metric.elbo is not None else 0, batch_rng)
     largest = max(n_sets, n_entries, 1)
     steps_per_epoch = int(np.ceil(largest / cfg.batch_pairs))
 
@@ -516,13 +507,9 @@ def train(
         for _ in range(steps_per_epoch):
             set_ids = set_cycler.take(cfg.batch_pairs)
             entry_ids = entry_cycler.take(cfg.batch_pairs)
-            if use_elbo:
-                edge_ids = edge_cycler.take(cfg.batch_pairs)
-                elbo_pairs = graph.edges[edge_ids]
-                noise = noise_rng.standard_normal((len(elbo_pairs), cfg.embedding_dim))
-            else:
-                elbo_pairs = np.empty((0, 2), dtype=np.int64)
-                noise = None
+            # without an ELBO both draws are empty and leave their rngs as they are
+            elbo_pairs = graph.edges[edge_cycler.take(cfg.batch_pairs)]
+            noise = noise_rng.standard_normal((len(elbo_pairs), cfg.embedding_dim))
             contrast = contrast_triplets(graph.edges, contrast_rng) if use_contrast else None
             sb = make_step_batch(metric, cm, cs, set_ids, entry_ids, elbo_pairs, noise,
                                  contrast)
@@ -575,7 +562,7 @@ def train(
         "best_val_auc": best_val,
     }
     return TrainResult(state=state, history=history, metadata=metadata,
-                       multi_pool=multi_pool, single_pool=single_pool, compiled=compiled)
+                       multi_pool=multi_pool, single_pool=single_pool)
 
 
 def _arrays(state: ModelState) -> dict[str, np.ndarray]:

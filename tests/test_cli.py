@@ -434,6 +434,26 @@ class TestEval:
         assert f"labels.tsv: line {len(lines)}" in err
         assert message in err
 
+    def test_explicit_labels_must_exist_but_run_labels_are_optional(self, toy_run, tmp_path,
+                                                                    capsys):
+        def run_eval(*extra):
+            return main(["eval", "--checkpoint", str(toy_run / "checkpoint.npz"),
+                         "--split", str(toy_run / "split"), *extra])
+
+        labels = tmp_path / "labels.tsv"
+        labels.write_bytes((toy_run / "labels.tsv").read_bytes())
+        (toy_run / "labels.tsv").unlink()
+        assert run_eval() == EXIT_OK
+        assert "classification" not in capsys.readouterr().err
+        # the toy graph's labels are read, then too few to classify
+        assert run_eval("--labels", str(labels)) == EXIT_OK
+        assert "skipping classification" in capsys.readouterr().err
+        missing = tmp_path / "nowhere" / "labels.tsv"
+        out = tmp_path / "metrics.json"
+        assert run_eval("--labels", str(missing), "--out", str(out)) == EXIT_CONFIG
+        assert f"--labels {missing} is not a file" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_checkpoint_split_mismatch_exits_2(self, toy_run, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.yaml"
         cfg = toy_config()
@@ -639,6 +659,23 @@ class TestSweep:
         out.write_text(f"param,value,trial,auc,ap,micro_f1\n{row}\n")
         assert main(["sweep", "--config", str(cfg_path), "--out", str(out)]) == EXIT_CONFIG
         assert "line 2: malformed row" in capsys.readouterr().err
+
+    def test_split_seed_exits_2_naming_the_trial_seed_rule(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.yaml"
+        payload = sweep_config([4], trials=1)
+        payload["split"]["seed"] = 5
+        write_yaml(cfg_path, payload)
+        out = tmp_path / "grid.csv"
+        for extra in ([], ["--seed", "5"]):
+            assert main(["sweep", "--config", str(cfg_path), "--out", str(out),
+                         *extra]) == EXIT_CONFIG
+            err = capsys.readouterr().err
+            assert "split.seed is not used by sweep" in err
+            assert "train.seed + 9973*t" in err
+        assert not out.exists()
+        # train splits at split.seed, so it takes the same file
+        assert main(["train", "--config", str(cfg_path), "--out",
+                     str(tmp_path / "run")]) == EXIT_OK
 
     def test_missing_sweep_section_exits_2(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.yaml"

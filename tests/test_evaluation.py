@@ -384,8 +384,8 @@ def test_sweep_builds_pools_once_per_split_and_matches_direct_training(monkeypat
     builds = count_pool_builds(monkeypatch)
     rows, errors = sweep(g, base, "embedding_dim", [3, 5], trials=2)
     assert errors == []
-    # one build and one compile per trial's split
-    assert builds == {"multi": 2, "single": 2, "compile_multi": 2, "compile_single": 2}
+    # one build per trial's split; every point compiles the pools it trains on
+    assert builds == {"multi": 2, "single": 2, "compile_multi": 4, "compile_single": 4}
     assert [(r["value"], r["trial"]) for r in rows] == [(3, 0), (3, 1), (5, 0), (5, 1)]
     for row in rows:
         cfg = replace(base, embedding_dim=row["value"], seed=9973 * row["trial"])
