@@ -159,8 +159,11 @@ def cmd_train(args: argparse.Namespace) -> int:
         save_checkpoint(result.state, tcfg, out_dir / "checkpoint.npz")
         save_history(result.history, out_dir / "history.csv")
         save_split(split, out_dir / "split")
+        # else eval would classify against the labels of an earlier run's dataset
         if dataset.labels is not None:
             save_labels(out_dir / "labels.tsv", dataset)
+        else:
+            (out_dir / "labels.tsv").unlink(missing_ok=True)
         metrics = evaluate_split(result.state, split, tcfg.backend)
         _write_json(out_dir / "metrics.json", metrics)
 
@@ -278,9 +281,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         out=out_path,
     )
     print(f"sweep complete: {len(rows)} rows -> {out_path}")
+    errors_path = out_path.with_suffix(".errors.json")
     if errors:
-        _write_json(out_path.with_suffix(".errors.json"), {"errors": errors})
+        _write_json(errors_path, {"errors": errors})
         print(f"  {len(errors)} grid points failed (see .errors.json)")
+    else:
+        errors_path.unlink(missing_ok=True)  # a resumed sweep's earlier failures
     return EXIT_OK
 
 

@@ -2,8 +2,9 @@
 
 The multi-path pool holds node pairs joined by at least two simple paths
 within the length cap; the single-path pool holds pairs joined by exactly
-one. Multi-path candidates qualify by enumeration, single-path candidates
-by a distance-pruned search that stops at a second path. Pairs connected
+one. One depth-first walk finds the paths of both: multi-path candidates
+qualify by enumerating its paths, single-path candidates by a proof that
+runs it distance-pruned and stops at a second path. Pairs connected
 purely through bridge edges are provably unique-path at any length (a
 simple path that reaches the far side of a bridge must cross it, and it
 can only be at the bridge's near endpoint once), so the single-path
@@ -100,6 +101,51 @@ def _hop_array(levels: list[list[int]], num_nodes: int) -> np.ndarray:
     return hops
 
 
+def _walk(graph: Graph, src: int, dst: int, max_len: int, budget: int | None,
+          dist: list[int] | None):
+    """The simple src-dst paths of <= max_len edges as node tuples, depth-first.
+
+    Neighbors are taken in adjacency order. With `dist`, the hop distances
+    to dst (-1 beyond the cap), the walk enters no node from which dst is
+    out of reach within the cap. Once it has made `budget` descents (None:
+    no limit) it enters no further node and yields None, once; as it
+    backs out it still yields the direct hits on dst, so a cut walk yields
+    the paths found within the budget.
+    """
+    adj = graph.adjacency
+    path = [src]
+    on_path = {src}
+    stack = [iter(adj[src])]
+    descents = 0
+    if budget == 0:
+        yield None
+    while stack:
+        if len(path) >= max_len or descents == budget:
+            # no descent is allowed from here: only a direct hit on dst can
+            # remain among this node's neighbors
+            if dst in stack[-1]:
+                yield (*path, dst)
+            stack.pop()
+            on_path.discard(path.pop())
+            continue
+        w = next(stack[-1], -1)
+        if w < 0:
+            stack.pop()
+            on_path.discard(path.pop())
+            continue
+        if w == dst:
+            yield (*path, dst)
+            continue
+        if w in on_path or (dist is not None and not 0 <= dist[w] <= max_len - len(path)):
+            continue
+        descents += 1
+        if descents == budget:
+            yield None
+        path.append(w)
+        on_path.add(w)
+        stack.append(iter(adj[w]))
+
+
 def enumerate_simple_paths(
     graph: Graph,
     i: int,
@@ -125,47 +171,14 @@ def enumerate_simple_paths(
         raise ValueError("max_paths needs an rng to draw the reservoir")
     found: list[tuple[int, ...]] = []
     seen_count = 0
-    expansions = 0
-
-    def hit() -> None:
-        """Record the current path plus j."""
-        nonlocal seen_count
-        record = tuple(path) + (j,)
+    for record in _walk(graph, i, j, max_len, max_expansions, None):
+        if record is None:
+            continue
         seen_count += 1
         if max_paths is None or len(found) < max_paths:
             found.append(record)
         elif (slot := int(rng.integers(0, seen_count))) < max_paths:
             found[slot] = record
-
-    adj = graph.adjacency
-    path = [i]
-    on_path = {i}
-    stack = [iter(adj[i])]
-    while stack:
-        if len(path) >= max_len or (max_expansions is not None
-                                    and expansions >= max_expansions):
-            # no descent is allowed from here: only a direct hit on j can
-            # remain among this node's neighbors
-            if j in stack[-1] and len(path) <= max_len:
-                hit()
-            stack.pop()
-            on_path.discard(path.pop())
-            continue
-        v = next(stack[-1], -1)
-        if v < 0:
-            stack.pop()
-            on_path.discard(path.pop())
-            continue
-        if v == j:
-            if len(path) <= max_len:
-                hit()
-            continue
-        if v in on_path:
-            continue
-        expansions += 1
-        path.append(v)
-        on_path.add(v)
-        stack.append(iter(adj[v]))
     return [Path(p) for p in sorted(found, key=lambda p: (len(p), p))]
 
 
@@ -337,43 +350,18 @@ def _unique_path_within(
 ) -> Path | None:
     """The sole simple u-v path of <= max_len edges, or None.
 
-    Walks depth-first from v toward u, pruning branches whose best-case
-    completion (current depth + BFS distance to u) exceeds the cap.
-    Returns None when a second path turns up or the node budget runs out
-    before uniqueness is proven, so every returned path is verified.
-    Without a budget the answer is exact.
+    Walks from v toward u, pruning branches whose best-case completion
+    (current depth + BFS distance to u) exceeds the cap. Returns None when
+    a second path turns up or uniqueness needs more than `node_budget`
+    descents, so every returned path is verified. Without a budget the
+    answer is exact.
     """
-    found: list[tuple[int, ...]] = []
-    visits = 0
-    adj = graph.adjacency
-    path = [v]
-    on_path = {v}
-    stack = [iter(adj[v])]
-    while stack:
-        w = next(stack[-1], -1)
-        if w < 0:
-            stack.pop()
-            on_path.discard(path.pop())
-            continue
-        edges_if_taken = len(path)
-        if w == u:
-            if edges_if_taken <= max_len:
-                found.append(tuple(reversed(path + [w])))
-                if len(found) >= 2:
-                    return None
-            continue
-        if w in on_path or edges_if_taken >= max_len:
-            continue
-        du = dist_u[w]
-        if du < 0 or edges_if_taken + du > max_len:
-            continue
-        visits += 1
-        if node_budget is not None and visits > node_budget:
-            return None
-        path.append(w)
-        on_path.add(w)
-        stack.append(iter(adj[w]))
-    if len(found) != 1:
+    # the walk counts the descents it makes, while a budget of n lets the
+    # proof make n descents and gives up when it needs one more: that is
+    # the walk's cut at n + 1
+    budget = None if node_budget is None else node_budget + 1
+    found = [p for _, p in zip(range(2), _walk(graph, v, u, max_len, budget, dist_u))]
+    if len(found) != 1 or found[0] is None:
         return None
     nodes = found[0]
     if nodes[0] > nodes[-1]:

@@ -529,6 +529,9 @@ def train(
         if track_val:
             pos = score_pairs(state, val_pos, cfg.backend)
             neg = score_pairs(state, val_neg, cfg.backend)
+            if not (np.isfinite(pos).all() and np.isfinite(neg).all()):
+                raise TrainingError(f"non-finite validation scores in epoch {epoch + 1} "
+                                    f"at step {step}")
             val_auc = auc_score(pos, neg)
             improved = best_val is None or val_auc > best_val + 1e-6
             if improved:

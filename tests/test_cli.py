@@ -155,6 +155,24 @@ class TestTrain:
                                    "num_classes": 2}
         assert from_mapping(meta["config"]) == load_config(cfg_path)
 
+    def test_rerun_without_labels_removes_the_last_runs_labels(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        labeled = toy_config(epochs=2)
+        labeled["dataset"] = {"kind": "synthetic", "num_nodes": 30, "num_edges": 60,
+                              "num_classes": 2}
+        unlabeled = toy_config(epochs=2)
+        unlabeled["dataset"] = {"kind": "edgelist", "edges": str(DATA / "toy" / "edges.txt")}
+        for payload in (labeled, unlabeled):
+            cfg_path = tmp_path / "cfg.yaml"
+            write_yaml(cfg_path, payload)
+            assert main(["train", "--config", str(cfg_path), "--out", str(out)]) == EXIT_OK
+        assert json.loads((out / "run_meta.json").read_text())["dataset"]["num_classes"] == 0
+        assert not (out / "labels.tsv").exists()
+        capsys.readouterr()
+        assert main(["eval", "--checkpoint", str(out / "checkpoint.npz"),
+                     "--split", str(out / "split")]) == EXIT_OK
+        assert "micro_f1" not in json.loads(capsys.readouterr().out)
+
     def test_epochs_run_counts_epochs_not_steps(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.yaml"
         write_yaml(cfg_path, toy_config(batch_pairs=8, epochs=2))  # several steps per epoch
@@ -649,6 +667,19 @@ class TestSweep:
         rows = out.read_text().strip().splitlines()[1:]
         assert [r.split(",")[1] for r in rows] == ["2", "4"]
         assert rows[0] == first[0]
+
+    def test_resume_without_failures_removes_the_last_errors_file(self, tmp_path):
+        cfg_path = tmp_path / "cfg.yaml"
+        out = tmp_path / "grid.csv"
+        errors = tmp_path / "grid.errors.json"
+        payload = sweep_config([0.01, 1e300], trials=1, param="learning_rate")
+        write_yaml(cfg_path, payload)
+        assert main(["sweep", "--config", str(cfg_path), "--out", str(out)]) == EXIT_OK
+        assert [e["value"] for e in json.loads(errors.read_text())["errors"]] == [1e300]
+        payload["sweep"]["values"] = [0.01]
+        write_yaml(cfg_path, payload)
+        assert main(["sweep", "--config", str(cfg_path), "--out", str(out)]) == EXIT_OK
+        assert not errors.exists()
 
     @pytest.mark.parametrize("row", ["embedding_dim,4,0,0.5", "embedding_dim,4,zero,0.5,0.5,nan"],
                              ids=["truncated", "non-numeric-trial"])

@@ -231,6 +231,39 @@ def test_f1_report_hand_case():
     assert macro == pytest.approx((0.5 + 0.8 + 0.0) / 3)
 
 
+def _loop_f1_report(y_true, y_pred, num_classes):
+    """The per-class counting loop that `_f1_report` replaced, kept as its reference."""
+    tp = np.zeros(num_classes)
+    fp = np.zeros(num_classes)
+    fn = np.zeros(num_classes)
+    for c in range(num_classes):
+        tp[c] = np.sum((y_pred == c) & (y_true == c))
+        fp[c] = np.sum((y_pred == c) & (y_true != c))
+        fn[c] = np.sum((y_pred != c) & (y_true == c))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        precision = np.where(tp + fp > 0, tp / (tp + fp), 0.0)
+        recall = np.where(tp + fn > 0, tp / (tp + fn), 0.0)
+    denom = 2 * tp.sum() + fp.sum() + fn.sum()
+    micro = 2 * tp.sum() / denom if denom > 0 else 0.0
+    pc_denom = precision + recall
+    per_class_f1 = np.where(pc_denom > 0,
+                            2 * precision * recall / np.where(pc_denom > 0, pc_denom, 1.0), 0.0)
+    return float(micro), float(per_class_f1.mean())
+
+
+def test_f1_report_equals_the_loop_reference_exactly():
+    rng = np.random.default_rng(11)
+    for _ in range(2000):
+        num_classes = int(rng.integers(1, 9))
+        n = int(rng.integers(1, 401))
+        y_true = rng.integers(0, num_classes, size=n)
+        # mostly right, as a classifier is, so every count gets exercised
+        y_pred = np.where(rng.random(n) < rng.random(), y_true,
+                          rng.integers(0, num_classes, size=n))
+        assert repr(_f1_report(y_true, y_pred, num_classes)) == \
+            repr(_loop_f1_report(y_true, y_pred, num_classes))
+
+
 def test_fit_logistic_separates_line():
     X = np.array([[-2.0], [-1.5], [-1.0], [1.0], [1.5], [2.0]])
     y = np.array([False, False, False, True, True, True])

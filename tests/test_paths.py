@@ -14,6 +14,8 @@ from pathembed.paths import (
     Path,
     SinglePathSet,
     _sole_shortest_path,
+    _unique_path_within,
+    _walk,
     bfs_distances,
     build_multipath_pool,
     build_singlepath_pool,
@@ -130,6 +132,92 @@ class TestEnumerate:
         g = Graph(3, np.array([[0, 1], [1, 2], [0, 2]]))
         with pytest.raises(ValueError, match="rng"):
             enumerate_simple_paths(g, 0, 1, max_len=2, max_paths=1)
+
+
+def walk_events(g: Graph, src: int, dst: int, max_len: int, dist=None):
+    """Recursive oracle of `_walk`'s order: each path found, and "descend" per node entered.
+
+    With `dist` (hop distances to dst) it enters no node from which dst is
+    out of reach within the cap.
+    """
+    events = []
+
+    def rec(path):
+        for w in g.adjacency[path[-1]]:
+            if w == dst:
+                events.append((*path, w))
+            elif (w not in path and len(path) < max_len
+                  and (dist is None or 0 <= dist[w] <= max_len - len(path))):
+                events.append("descend")
+                rec(path + [w])
+
+    rec([src])
+    return events
+
+
+class TestWalk:
+    """The one depth-first walk behind enumeration and the unique-path proof."""
+
+    @staticmethod
+    def cases(seed, count):
+        rng = np.random.default_rng(seed)
+        for _ in range(count):
+            g = random_graph(rng, n_max=9, p=0.45)
+            src, dst = (int(x) for x in rng.choice(g.num_nodes, size=2, replace=False))
+            yield rng, g, src, dst, int(rng.integers(1, 6))
+
+    def test_unbudgeted_walk_yields_every_path_depth_first_with_or_without_distances(self):
+        for _, g, src, dst, max_len in self.cases(30, 120):
+            dist, _ = bfs_distances(g, dst, max_len)
+            plain = list(_walk(g, src, dst, max_len, None, None))
+            pruned = list(_walk(g, src, dst, max_len, None, dist))
+            assert plain == [e for e in walk_events(g, src, dst, max_len) if e != "descend"]
+            assert pruned == plain
+            assert sorted(plain, key=lambda p: (len(p), p)) == \
+                brute_force_paths(g, src, dst, max_len)
+
+    def test_budget_cut_yields_one_none_after_that_many_descents(self):
+        cuts = 0
+        for rng, g, src, dst, max_len in self.cases(31, 120):
+            events = walk_events(g, src, dst, max_len)
+            descents = [k for k, e in enumerate(events) if e == "descend"]
+            everything = {e for e in events if e != "descend"}
+            budgets = {0, 1, len(descents), len(descents) + 1,
+                       int(rng.integers(0, len(descents) + 2))}
+            for budget in budgets:
+                got = list(_walk(g, src, dst, max_len, budget, None))
+                if budget > len(descents):
+                    assert None not in got
+                    continue
+                cuts += 1
+                assert got.count(None) == 1
+                cut = got.index(None)
+                before = events[:descents[budget - 1]] if budget else []
+                assert got[:cut] == [e for e in before if e != "descend"]
+                # backing out it still finds direct hits, each a distinct path
+                rest = got[cut + 1:]
+                assert len(set(got[:cut] + rest)) == len(got) - 1
+                assert set(rest) <= everything
+        assert cuts > 200
+
+    def test_proof_succeeds_at_a_budget_of_its_descents_and_not_one_fewer(self):
+        proofs = 0
+        for _, g, src, dst, max_len in self.cases(32, 300):
+            u, v = min(src, dst), max(src, dst)
+            dist_u, _ = bfs_distances(g, u, max_len)
+            events = walk_events(g, v, u, max_len, dist_u)
+            paths = [e for e in events if e != "descend"]
+            exact = _unique_path_within(g, dist_u, u, v, max_len, None)
+            if len(paths) != 1:
+                assert exact is None
+                continue
+            assert exact == Path(paths[0][::-1])
+            attempts = events.count("descend")
+            assert _unique_path_within(g, dist_u, u, v, max_len, attempts) == exact
+            if attempts:
+                proofs += 1
+                assert _unique_path_within(g, dist_u, u, v, max_len, attempts - 1) is None
+        assert proofs > 20
 
 
 class TestBfsDistances:

@@ -779,6 +779,19 @@ def test_train_raises_on_poisoned_state(monkeypatch):
         train(g, cfg)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_train_names_the_epoch_and_step_of_non_finite_validation_scores():
+    rng = np.random.default_rng(2)
+    n = 24
+    edges = np.concatenate([np.stack([np.arange(n - 1), np.arange(1, n)], axis=1),
+                            rng.integers(0, n, size=(60, 2))])
+    split = split_edges(Graph(n, edges[edges[:, 0] != edges[:, 1]]), 0.15, 0.15, seed=4)
+    # one step per epoch: the step's loss is finite, the phi it leaves is ~1e300
+    cfg = small_cfg(learning_rate=1e300, batch_pairs=512)
+    with pytest.raises(TrainingError, match="non-finite validation scores in epoch 1 at step 1"):
+        train(split.train_graph, cfg, val_pos=split.val_pos, val_neg=split.val_neg)
+
+
 def test_train_early_stops_and_restores_best():
     rng = np.random.default_rng(2)
     n = 24
