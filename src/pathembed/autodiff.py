@@ -128,11 +128,6 @@ class Tensor:
 
         return Tensor(out_data, _parents=(self, other), _vjp=vjp)
 
-    __radd__ = __add__
-
-    def __neg__(self) -> "Tensor":
-        return Tensor(-self.data, _parents=(self,), _vjp=lambda g: (-g,))
-
     def __sub__(self, other) -> "Tensor":
         other = _wrap(other)
         out_data = self.data - other.data
@@ -151,8 +146,6 @@ class Tensor:
             return (_unbroadcast(g * b, a.shape), _unbroadcast(g * a, b.shape))
 
         return Tensor(out_data, _parents=(self, other), _vjp=vjp)
-
-    __rmul__ = __mul__
 
     def __truediv__(self, other) -> "Tensor":
         other = _wrap(other)

@@ -155,6 +155,11 @@ def cmd_train(args: argparse.Namespace) -> int:
             multi_pool=multi_pool, single_pool=single_pool,
             val_pos=split.val_pos, val_neg=split.val_neg,
         )
+        # scored before any run file is written, so a blow-up leaves no partial run
+        try:
+            metrics = evaluate_split(result.state, split, tcfg.backend)
+        except ValueError as exc:
+            raise TrainingError(f"{exc} after step {result.history[-1]['step']}") from None
 
         save_checkpoint(result.state, tcfg, out_dir / "checkpoint.npz")
         save_history(result.history, out_dir / "history.csv")
@@ -164,7 +169,6 @@ def cmd_train(args: argparse.Namespace) -> int:
             save_labels(out_dir / "labels.tsv", dataset)
         else:
             (out_dir / "labels.tsv").unlink(missing_ok=True)
-        metrics = evaluate_split(result.state, split, tcfg.backend)
         _write_json(out_dir / "metrics.json", metrics)
 
         components, _ = split.train_graph.connected_components()

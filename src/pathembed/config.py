@@ -147,6 +147,9 @@ class SweepConfig(Section):
         params = [f.name for f in fields(TrainConfig)] + ["train_fraction"]
         if self.param not in params:
             raise ConfigError(f"sweep.param must be one of {params}, got {self.param!r}")
+        if self.param == "seed":
+            raise ConfigError("sweep.param cannot be seed: each trial sets its own seed "
+                              "from train.seed, so the grid would repeat every trial")
 
 
 class DatasetSection(Section):

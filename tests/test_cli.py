@@ -181,6 +181,18 @@ class TestTrain:
         assert json.loads((out / "run_meta.json").read_text())["epochs_run"] == 2
         assert "epochs: 2 " in capsys.readouterr().out
 
+    def test_blow_up_without_validation_names_test_scores_and_writes_no_run(self, tmp_path,
+                                                                            capsys):
+        # one step at a huge rate: loss and phi stay finite, the test scores do not
+        payload = toy_config(backend="2n", epochs=1, batch_pairs=4096, learning_rate=1e300)
+        payload["split"]["val_fraction"] = 0.0
+        cfg_path = tmp_path / "cfg.yaml"
+        write_yaml(cfg_path, payload)
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(cfg_path), "--out", str(out)]) == EXIT_RUNTIME
+        assert "runtime error: non-finite test scores after step 1" in capsys.readouterr().err
+        assert list(out.iterdir()) == []  # no checkpoint, history, split or labels
+
     def test_invalid_backend_exits_2_with_message(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.yaml"
         write_yaml(cfg_path, toy_config(backend="bogus"))
@@ -608,6 +620,15 @@ class TestSweep:
         assert "sweep.param" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_seed_sweep_param_exits_2_naming_the_trial_seed_rule(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.yaml"
+        write_yaml(cfg_path, sweep_config([1, 2], trials=3, param="seed"))
+        out = tmp_path / "grid.csv"
+        assert main(["sweep", "--config", str(cfg_path), "--out", str(out)]) == EXIT_CONFIG
+        assert "sweep.param cannot be seed: each trial sets its own seed" in (
+            capsys.readouterr().err)
+        assert not out.exists()
+
     @pytest.mark.parametrize("param,values,message", [
         ("embedding_dim", [4, 0, -1], "sweep.values: 0 is refused: embedding_dim must be >= 1"),
         ("backend", ["2n", "cosine"], "sweep.values: 'cosine' is refused: backend must be one"),
@@ -629,8 +650,8 @@ class TestSweep:
     def test_every_good_sweep_value_loads(self):
         payload = sweep_config([0.05, 0.5, 0.899], trials=1, param="train_fraction")
         assert from_mapping(payload).sweep.values == [0.05, 0.5, 0.899]
-        payload = sweep_config([0, 7], trials=1, param="seed")
-        assert from_mapping(payload).sweep.values == [0, 7]
+        payload = sweep_config([None, 1, 7], trials=1, param="max_pairs")
+        assert from_mapping(payload).sweep.values == [None, 1, 7]
 
     def test_resume_adds_only_missing_rows(self, tmp_path):
         cfg_path = tmp_path / "cfg.yaml"

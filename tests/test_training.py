@@ -214,26 +214,23 @@ def test_compile_multipath_matches_loop_reference():
 
 def _loop_compile_singlepath(pool, graph):
     """compile_singlepath's tables built entry by entry, as the reference."""
-    u, v, term_i, term_j, inc_term, inc_edge = [], [], [], [], [], []
-    edge_counts, term_counts, inc_counts = [], [], []
+    term_i, term_j, u, v, edge_term = [], [], [], [], []
+    term_counts, edge_counts = [], []
     for _, path in pool.entries:
         nodes = path.nodes
-        first_term, first_inc = len(term_i), len(inc_term)
-        u.extend(nodes[:-1])
-        v.extend(nodes[1:])
+        first_term, first_edge = len(term_i), len(u)
         for a in range(len(nodes)):
             for b in range(a + 1, len(nodes)):
                 if graph.has_edge(int(nodes[a]), int(nodes[b])):
                     continue
-                inc_term.extend([len(term_i) - first_term] * (b - a))
-                inc_edge.extend(range(a, b))
+                u.extend(nodes[a:b])
+                v.extend(nodes[a + 1:b + 1])
+                edge_term.extend([len(term_i) - first_term] * (b - a))
                 term_i.append(nodes[a])
                 term_j.append(nodes[b])
-        edge_counts.append(len(nodes) - 1)
         term_counts.append(len(term_i) - first_term)
-        inc_counts.append(len(inc_term) - first_inc)
-    return ((edge_counts, (u, v)), (term_counts, (term_i, term_j)),
-            (inc_counts, (inc_term, inc_edge)))
+        edge_counts.append(len(u) - first_edge)
+    return (term_counts, (term_i, term_j)), (edge_counts, (u, v, edge_term))
 
 
 def test_compile_singlepath_matches_loop_reference():
@@ -259,7 +256,7 @@ def test_compile_singlepath_matches_loop_reference():
     assert sum(len(pool.entries) for _, pool in cases) > 100
     for g, pool in cases:
         cs = compile_singlepath(pool, g)
-        for table, (counts, cols) in zip((cs.edges, cs.terms, cs.incs),
+        for table, (counts, cols) in zip((cs.terms, cs.edges),
                                          _loop_compile_singlepath(pool, g)):
             for got, want in ((table.ptr, np.cumsum([0, *counts])), *zip(table.cols, cols)):
                 assert got.dtype == np.int64
@@ -303,17 +300,16 @@ def _reference_batch(multi, single, graph, set_ids, entry_ids):
                 edge_path.append(n_paths + k)
             cmps += [(n_paths + k, n_paths + j) for j in range(k + 1, len(paths))]
         n_paths += len(paths)
-    s_pairs, terms, incs = [], [], []
+    s_pairs, edge_term, terms = [], [], []
     for e in entry_ids:
         nodes = single.entries[e][1].nodes
-        first_edge = len(s_pairs)
-        s_pairs += list(zip(nodes, nodes[1:]))
         for i in range(len(nodes)):
             for j in range(i + 1, len(nodes)):
                 if not graph.has_edge(nodes[i], nodes[j]):
-                    incs += [(len(terms), first_edge + k) for k in range(i, j)]
+                    s_pairs += list(zip(nodes[i:j], nodes[i + 1:j + 1]))
+                    edge_term += [len(terms)] * (j - i)
                     terms.append((nodes[i], nodes[j]))
-    return m_pairs, edge_path, cmps, s_pairs, terms, incs
+    return m_pairs, edge_path, cmps, s_pairs, edge_term, terms
 
 
 def test_step_batch_matches_per_item_reference():
@@ -341,16 +337,34 @@ def test_step_batch_matches_per_item_reference():
         def stored(ps):
             return [(min(a, b), max(a, b)) if symmetric else (a, b) for a, b in ps]
 
-        m_pairs, edge_path, cmps, s_pairs, terms, incs = _reference_batch(
+        m_pairs, edge_path, cmps, s_pairs, edge_term, terms = _reference_batch(
             mp, sp, g, set_ids, entry_ids)
         assert pairs(sb.m_rel) == stored(m_pairs)
         assert sb.m_edge_path.tolist() == edge_path
         assert list(zip(sb.m_cmp_a.tolist(), sb.m_cmp_b.tolist())) == cmps
         assert pairs(sb.s_rel) == stored(s_pairs)
+        assert sb.s_edge_term.tolist() == edge_term
         assert pairs(sb.t_rel) == stored(terms)
-        assert list(zip(sb.s_inc_term.tolist(), sb.s_inc_edge.tolist())) == incs
         assert (sb.m_num_sets, sb.m_num_paths, sb.s_num_terms) == (
             len(set_ids), sum(len(mp[s].paths) for s in set_ids), len(terms))
+
+
+def test_term_less_entries_put_no_row_in_the_relation_table():
+    # a bridge, and a path whose end nodes are joined by an edge, have no term
+    g = Graph(5, np.array([[0, 1], [1, 2], [0, 2], [3, 4]]))
+    sp = SinglePathSet((((0, 2), Path((0, 1, 2))), ((3, 4), Path((3, 4)))))
+    cs = compile_singlepath(sp, g)
+    assert len(cs.terms) == len(cs.edges) == 2
+    assert cs.terms.ptr[-1] == cs.edges.ptr[-1] == 0
+    for name in ("2n", "vi"):
+        sb = make_step_batch(BACKENDS[name], compile_multipath([]), cs,
+                             np.empty(0, dtype=np.int64), np.array([0, 1, 1]),
+                             np.empty((0, 2), dtype=np.int64), None)
+        assert sb.s_num_terms == 0
+        assert sb.unique_u.size == sb.s_rel.size == sb.t_rel.size == 0
+        cfg = small_cfg(backend=name)
+        parts = build_objective(_tensors(init_state(cfg, g)), sb, cfg)[1]
+        assert parts["loss_sin"] == parts["loss"] == 0.0
 
 
 class DirectedTwoNorm(TwoNorm):
@@ -522,7 +536,7 @@ def test_duplicate_batch_ids_keep_terms_wired_and_weighted():
     def parts_for(set_ids, entry_ids):
         sb = make_step_batch(BACKENDS[cfg.backend], cm, cs, np.asarray(set_ids),
                              np.asarray(entry_ids), np.empty((0, 2), dtype=np.int64), None)
-        counts = np.bincount(sb.s_inc_term, minlength=sb.s_num_terms)
+        counts = np.bincount(sb.s_edge_term, minlength=sb.s_num_terms)
         assert sb.s_num_terms == 0 or counts.min() >= 2
         _, parts = build_objective(_tensors(state), sb, cfg)
         return parts
