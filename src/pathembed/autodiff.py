@@ -2,12 +2,14 @@
 
 Small on purpose: only the operations the training objectives need are
 implemented (elementwise arithmetic, exp/log/relu/clamp, 2-D matmul,
-reductions, row gather and slice, segment sum, concatenation, and
-zero-safe row norms and pair distances), plus two fused layers of the
-relation networks: an affine map and the pair hidden layer. All data is
-float64. Graphs are built eagerly and differentiated by an iterative
-topological sweep, so deep chains do not hit the interpreter recursion
-limit.
+reductions, row gather and slice, a segment sum of gathered rows,
+concatenation, and zero-safe row norms and pair distances), plus two
+fused layers of the relation networks: an affine map and the pair hidden
+layer. All data is float64. Graphs are built eagerly and differentiated
+by an iterative topological sweep, so deep chains do not hit the
+interpreter recursion limit. A graph lives as long as its output tensor:
+the backward sweep frees interior gradients but no forward data, so the
+caller drops the output to free the graph.
 """
 
 from __future__ import annotations
@@ -216,6 +218,20 @@ def _wrap(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+def _onehot(index: Array, cols: Array, sign: Array, num_rows: int, num_cols: int):
+    """The sparse matrix with sign[i] at (index[i], cols[i]), each row's entries in order of i.
+
+    A product with it adds each row's terms in that order, as np.add.at
+    would: scipy keeps repeated (row, col) entries apart and adds them
+    one by one.
+    """
+    # a stable sort keeps each row's entries in order of i; numpy radix-sorts 16-bit keys
+    keys = index.astype(np.uint16) if num_rows <= 1 << 16 else index
+    order = np.argsort(keys, kind="stable")
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(index, minlength=num_rows))])
+    return sparse.csr_matrix((sign[order], cols[order], indptr), shape=(num_rows, num_cols))
+
+
 def scatter_rows(index: Array, values: Array, num_rows: int, minus: Array | None = None) -> Array:
     """out[r] = sum of the rows values[i] over i with index[i] == r.
 
@@ -234,11 +250,7 @@ def scatter_rows(index: Array, values: Array, num_rows: int, minus: Array | None
         cols, sign = np.tile(cols, 2), np.concatenate([sign, -sign])
     if not row_shape:
         return np.bincount(index, weights=values.reshape(-1)[cols] * sign, minlength=num_rows)
-    # the same stable order; numpy radix-sorts 16-bit keys
-    keys = index.astype(np.uint16) if num_rows <= 1 << 16 else index
-    order = np.argsort(keys, kind="stable")
-    indptr = np.concatenate([[0], np.cumsum(np.bincount(index, minlength=num_rows))])
-    onehot = sparse.csr_matrix((sign[order], cols[order], indptr), shape=(num_rows, size))
+    onehot = _onehot(index, cols, sign, num_rows, size)
     out = onehot @ values.reshape(size, int(np.prod(row_shape)))
     return np.asarray(out).reshape((num_rows,) + row_shape)
 
@@ -262,13 +274,29 @@ def row_slice(x: Tensor, start: int, stop: int) -> Tensor:
     return Tensor(x.data[start:stop], _parents=(x,), _vjp=vjp)
 
 
-def segment_sum(x: Tensor, segments: Array, num_segments: int) -> Tensor:
-    """out[s] = sum of x rows whose segment id is s. Empty segments are 0."""
+def segment_sum(x: Tensor, rows: Array, segments: Array, num_segments: int) -> Tensor:
+    """out[s] = sum of the rows x[rows[i]] over i with segments[i] == s. Empty segments are 0.
+
+    The same sums, added in order of i, as scatter_rows(segments,
+    x[rows], num_segments), and the gradient is scatter_rows(rows,
+    g[segments], len(x)); each is one sparse product, so neither pass
+    copies the gathered rows.
+    """
+    rows = np.asarray(rows, dtype=np.intp)
     segments = np.asarray(segments, dtype=np.intp)
-    if segments.shape[0] != x.data.shape[0]:
-        raise ValueError("one segment id per leading row is required")
-    out_data = scatter_rows(segments, x.data, num_segments)
-    return Tensor(out_data, _parents=(x,), _vjp=lambda g: (g[segments],))
+    if rows.shape != segments.shape or rows.ndim != 1:
+        raise ValueError("one segment id per summed row is required")
+    num_rows = x.data.shape[0]
+    ones = np.ones(rows.size)
+    flat = x.data.reshape(num_rows, -1)
+    out_data = (_onehot(segments, rows, ones, num_segments, num_rows) @ flat).reshape(
+        (num_segments,) + x.data.shape[1:])
+
+    def vjp(g: Array):
+        back = _onehot(rows, segments, ones, num_rows, num_segments)
+        return ((back @ g.reshape(num_segments, -1)).reshape(x.data.shape),)
+
+    return Tensor(out_data, _parents=(x,), _vjp=vjp)
 
 
 def concat(tensors: Sequence[Tensor], axis: int = 1) -> Tensor:

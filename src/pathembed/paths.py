@@ -113,6 +113,7 @@ def _walk(graph: Graph, src: int, dst: int, max_len: int, budget: int | None,
     the paths found within the budget.
     """
     adj = graph.adjacency
+    near_dst = set(adj[dst])
     path = [src]
     on_path = {src}
     stack = [iter(adj[src])]
@@ -127,6 +128,26 @@ def _walk(graph: Graph, src: int, dst: int, max_len: int, budget: int | None,
                 yield (*path, dst)
             stack.pop()
             on_path.discard(path.pop())
+            continue
+        if len(path) == max_len - 1:
+            # the last level: a child can only be the step before dst, so each
+            # descent is counted and its hit tested without entering the child
+            for w in stack[-1]:
+                if w == dst:
+                    yield (*path, dst)
+                    continue
+                if w in on_path or (dist is not None and not 0 <= dist[w] <= 1):
+                    continue
+                descents += 1
+                if descents == budget:
+                    yield None
+                if w in near_dst:
+                    yield (*path, w, dst)
+                if descents == budget:
+                    break  # the no-descent branch above scans the rest of this frame
+            else:
+                stack.pop()
+                on_path.discard(path.pop())
             continue
         w = next(stack[-1], -1)
         if w < 0:

@@ -9,7 +9,11 @@ multi-path sets, single-path entries, and train edges for the ELBO term
 node for the edge contrast term. It deduplicates the node pairs that the
 path and ELBO terms touch, lays out the contrast links as the backend's
 `link_rows`, runs the relation backend once over each set of pairs, and
-scatters the results into the loss terms through the autodiff engine.
+scatters the results into the loss terms through the autodiff engine:
+each path term sums its edges' rows of the relation table with one
+`segment_sum`, which reads them in place. A step's graph is dropped as
+soon as its gradients are read, before the Adam update, so at most one
+step's graph is alive at a time.
 """
 
 from __future__ import annotations
@@ -296,7 +300,7 @@ def build_objective(
     parts = {"loss_mul": 0.0, "loss_sin": 0.0, "elbo": 0.0, "loss_rank": 0.0}
 
     if sb.m_num_sets and sb.m_cmp_a.size and cfg.balance > 0.0:
-        rp = [segment_sum(gather_rows(t, sb.m_rel), sb.m_edge_path, sb.m_num_paths)
+        rp = [segment_sum(t, sb.m_rel, sb.m_edge_path, sb.m_num_paths)
               for t in metric.summands(rel)]
         d = metric.discrepancy([gather_rows(t, sb.m_cmp_a) for t in rp],
                                [gather_rows(t, sb.m_cmp_b) for t in rp])
@@ -306,8 +310,7 @@ def build_objective(
 
     if sb.s_num_terms and cfg.balance < 1.0:
         loc = rel[0]
-        r_tot = metric.magnitude(segment_sum(gather_rows(loc, sb.s_rel), sb.s_edge_term,
-                                             sb.s_num_terms))
+        r_tot = metric.magnitude(segment_sum(loc, sb.s_rel, sb.s_edge_term, sb.s_num_terms))
         r_dir = metric.magnitude(gather_rows(loc, sb.t_rel))
         loss_sin = (r_tot - r_dir).exp().mean()
         parts["loss_sin"] = loss_sin.item()
@@ -456,7 +459,9 @@ def train(
     improved for `cfg.patience` epochs and the best parameters are restored.
     Adam's moments and step count live only for the call: the result's
     state is the model alone. A pool not given is built here, and both
-    are compiled into their tables on every call.
+    are compiled into their tables on every call. Each step's autodiff
+    graph is freed before the Adam update, so the next forward never runs
+    beside it.
     """
     cfg.validate()
     start = time.time()
@@ -515,6 +520,8 @@ def train(
             if total.requires_grad:
                 total.backward()
             grads = {n: t.grad for n, t in tensors.items() if t.grad is not None}
+            # the graph goes now, not when the next forward returns
+            total = tensors = None
             adam_step(params, grads, moments, step, cfg)
             for name, arr in params.items():
                 if not np.isfinite(arr).all():

@@ -214,7 +214,7 @@ def test_segment_sum_grad_and_empty_segment():
     w = rng.normal(size=(4, 3))
 
     t = Tensor(x, requires_grad=True)
-    out = segment_sum(t, seg, num_segments=4)
+    out = segment_sum(t, np.arange(6), seg, num_segments=4)
     np.testing.assert_allclose(out.data[3], 0.0)
     (out * Tensor(w)).sum().backward()
 
@@ -223,6 +223,35 @@ def test_segment_sum_grad_and_empty_segment():
         np.add.at(acc, seg, arrays[0])
         return float((acc * w).sum())
 
+    assert max_rel_error(t.grad, numeric_grad(f, [x], which=0)) < TOL
+
+
+@pytest.mark.parametrize("row_shape", [(), (3,)], ids=["1-d", "2-d"])
+def test_segment_sum_equals_the_gathered_scatter_bitwise(row_shape):
+    # repeated rows, segments in no order, empty segments (8 segments, ids below 6)
+    rng = np.random.default_rng(16)
+    num_rows, num_segments = 7, 8
+    rows = rng.integers(0, num_rows, size=40)
+    seg = rng.integers(0, 6, size=40)
+    shape = (num_rows,) + row_shape
+    x = rng.normal(size=shape) * 10.0 ** rng.integers(-8, 8, size=shape)
+    g = rng.normal(size=(num_segments,) + row_shape)
+
+    t = Tensor(x, requires_grad=True)
+    out = segment_sum(t, rows, seg, num_segments)
+    assert out.data.tobytes() == scatter_rows(seg, x[rows], num_segments).tobytes()
+    assert not out.data[6:].any()
+    (out * Tensor(g)).sum().backward()
+    assert t.grad.tobytes() == scatter_rows(rows, g[seg], num_rows).tobytes()
+
+    def f(arrays):
+        acc = np.zeros((num_segments,) + row_shape)
+        np.add.at(acc, seg, arrays[0][rows])
+        return float((acc * g).sum())
+
+    x = rng.normal(size=shape)
+    t = Tensor(x, requires_grad=True)
+    (segment_sum(t, rows, seg, num_segments) * Tensor(g)).sum().backward()
     assert max_rel_error(t.grad, numeric_grad(f, [x], which=0)) < TOL
 
 

@@ -134,21 +134,32 @@ class TestEnumerate:
             enumerate_simple_paths(g, 0, 1, max_len=2, max_paths=1)
 
 
-def walk_events(g: Graph, src: int, dst: int, max_len: int, dist=None):
+def walk_events(g: Graph, src: int, dst: int, max_len: int, dist=None, budget=None,
+                entered=None):
     """Recursive oracle of `_walk`'s order: each path found, and "descend" per node entered.
 
     With `dist` (hop distances to dst) it enters no node from which dst is
-    out of reach within the cap.
+    out of reach within the cap. With `budget` it enters no node past that
+    many descents and records None at the cut; every node still on the path
+    then adds only its direct hits on dst. `entered`, a list, collects the
+    path of each descent.
     """
-    events = []
+    events = [None] if budget == 0 else []
+    descents = 0
 
     def rec(path):
+        nonlocal descents
         for w in g.adjacency[path[-1]]:
             if w == dst:
                 events.append((*path, w))
-            elif (w not in path and len(path) < max_len
+            elif (descents != budget and w not in path and len(path) < max_len
                   and (dist is None or 0 <= dist[w] <= max_len - len(path))):
+                descents += 1
                 events.append("descend")
+                if entered is not None:
+                    entered.append([*path, w])
+                if descents == budget:
+                    events.append(None)
                 rec(path + [w])
 
     rec([src])
@@ -199,6 +210,24 @@ class TestWalk:
                 assert len(set(got[:cut] + rest)) == len(got) - 1
                 assert set(rest) <= everything
         assert cuts > 200
+
+    def test_every_cut_matches_the_oracle_and_last_level_cuts_are_covered(self):
+        # a last-level descent enters a node one step short of the cap; with
+        # dist that node is always a neighbor of dst
+        last_level = {}
+        for _, g, src, dst, max_len in self.cases(33, 150):
+            for dist in (None, bfs_distances(g, dst, max_len)[0]):
+                entered = []
+                walk_events(g, src, dst, max_len, dist, entered=entered)
+                for budget in range(len(entered) + 2):
+                    got = list(_walk(g, src, dst, max_len, budget, dist))
+                    want = walk_events(g, src, dst, max_len, dist, budget)
+                    assert got == [e for e in want if e != "descend"]
+                    if 0 < budget <= len(entered) and len(entered[budget - 1]) == max_len:
+                        key = (dist is not None, dst in g.adjacency[entered[budget - 1][-1]])
+                        last_level[key] = last_level.get(key, 0) + 1
+        assert set(last_level) == {(False, True), (False, False), (True, True)}
+        assert min(last_level.values()) > 20
 
     def test_proof_succeeds_at_a_budget_of_its_descents_and_not_one_fewer(self):
         proofs = 0

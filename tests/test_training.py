@@ -1,5 +1,6 @@
 """Objective values against hand computations, gradient checks, and the loop."""
 
+import weakref
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -758,6 +759,24 @@ def test_train_runs_expected_step_count():
     steps = 4 * r.metadata["steps_per_epoch"]
     assert [row["step"] for row in r.history] == list(range(1, steps + 1))
     assert r.metadata["steps_per_epoch"] >= 2
+
+
+@pytest.mark.parametrize("backend", list(BACKENDS))
+def test_train_keeps_one_step_graph_alive_at_a_time(monkeypatch, backend):
+    # the loss tensor is the root of its step's graph, held only by train(),
+    # so its array outlives the step exactly when the graph does
+    losses, alive = [], []
+
+    def spy(*args, **kwargs):
+        alive.append(sum(ref() is not None for ref in losses))
+        total, parts = build_objective(*args, **kwargs)
+        losses.append(weakref.ref(total.data))
+        return total, parts
+
+    monkeypatch.setattr(pathembed.training, "build_objective", spy)
+    train(Graph(14, CYCLES_WITH_TAILS), small_cfg(backend=backend, epochs=3))
+    assert len(alive) > 3
+    assert alive == [0] * len(alive)
 
 
 def test_train_four_cycle_drives_equivalence_loss_down():
