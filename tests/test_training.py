@@ -763,8 +763,8 @@ def test_train_runs_expected_step_count():
 
 @pytest.mark.parametrize("backend", list(BACKENDS))
 def test_train_keeps_one_step_graph_alive_at_a_time(monkeypatch, backend):
-    # the loss tensor is the root of its step's graph, held only by train(),
-    # so its array outlives the step exactly when the graph does
+    # the loss tensor is the root of its step's graph and the only holder of
+    # its array, so a live loss array means a live graph
     losses, alive = [], []
 
     def spy(*args, **kwargs):
