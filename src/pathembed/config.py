@@ -278,6 +278,6 @@ def load_config(path: str | FilePath) -> RunConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = yaml.safe_load(fh)
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, UnicodeDecodeError) as exc:  # YAML is Unicode text
         raise ConfigError(f"config file {path} is not valid YAML: {exc}") from exc
     return from_mapping(data or {})

@@ -57,7 +57,12 @@ def verify_checksums(raw_dir: FilePath) -> bool:
     manifest = raw_dir / "checksums.json"
     if not manifest.exists():
         return False
-    expected = json.loads(manifest.read_text(encoding="utf-8"))
+    try:
+        expected = json.loads(manifest.read_text(encoding="utf-8"))
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise DatasetError(f"{manifest} is not JSON: {exc}") from None
+    if not (isinstance(expected, dict) and all(isinstance(w, str) for w in expected.values())):
+        raise DatasetError(f"{manifest} must map file names to sha256 strings")
     for name, want in sorted(expected.items()):
         target = raw_dir / name
         if not target.exists():

@@ -1,16 +1,16 @@
 """Objective assembly, exact gradients, Adam, and the training loop.
 
-Every `train()` call compiles its pools into per-item tables whose ids
-count from 0 within their item: a multi-path set's edges as (u, v, path)
-and its path comparisons, a single-path entry's terms and the edges of
-their spans as (u, v, term). Each optimizer step samples a batch of
-multi-path sets, single-path entries, and train edges for the ELBO term
-(none without one), and pairs every train edge with a fresh negative
+Every `train()` call compiles both pools into one layout of per-item
+tables, ids counting from 0 within their item: path edges as (u, v, path)
+and compared path pairs; a single-path term compares a span with its end
+nodes' direct pair, a one-row path. Each optimizer step samples a batch
+of multi-path sets, single-path entries, and train edges for the ELBO
+term (none without one), and pairs every train edge with a fresh negative
 node for the edge contrast term. It deduplicates the node pairs that the
 path and ELBO terms touch, lays out the contrast links as the backend's
 `link_rows`, runs the relation backend once over each set of pairs, and
 scatters the results into the loss terms through the autodiff engine:
-each path term sums its edges' rows of the relation table with one
+each pool sums its paths' rows of the relation table with one
 `segment_sum`, which reads them in place. A step's graph is dropped as
 soon as its gradients are read, before the Adam update, so at most one
 step's graph is alive at a time.
@@ -104,20 +104,12 @@ class Ragged:
 
 
 @dataclass
-class CompiledMulti:
-    """Multi-path sets; path ids count from 0 within each set."""
+class CompiledPaths:
+    """A pool's paths and the pairs of them its loss compares; ids count from 0 within an item."""
 
-    num_paths: np.ndarray     # paths per set, (S,)
+    num_paths: np.ndarray     # paths per item, (S,)
     edges: Ragged             # (u, v, path) per path edge
-    cmps: Ragged              # (path a, path b), a < b, per unordered path pair
-
-
-@dataclass
-class CompiledSingle:
-    """Single-path entries; term ids count from 0 within each entry."""
-
-    terms: Ragged             # (i, j) per non-adjacent node pair, in path order
-    edges: Ragged             # (u, v, term) per path edge inside a term's span
+    cmps: Ragged              # (path a, path b) per compared pair
 
 
 def _pairs_within(sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -133,48 +125,66 @@ def _pairs_within(sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
                  for k in (0, 1))
 
 
-def compile_multipath(pool: list[MultiPathSet]) -> CompiledMulti:
+def compile_multipath(pool: list[MultiPathSet]) -> CompiledPaths:
+    """A set's paths, each compared with every later one."""
     num_paths = np.array([len(s.paths) for s in pool], dtype=np.int64)
-    if not pool:
-        return CompiledMulti(num_paths, Ragged.pack([], [], [], []), Ragged.pack([], [], []))
     nodes = [p.nodes for s in pool for p in s.paths]
     sizes = np.array([len(p) for p in nodes], dtype=np.int64)
     flat = np.fromiter(chain.from_iterable(nodes), dtype=np.int64, count=int(sizes.sum()))
     ends = np.cumsum(sizes)
     # each path's nodes minus its last are its edge starts, minus its first its edge ends
     u, v = np.delete(flat, ends - 1), np.delete(flat, ends - sizes)
-    path = np.repeat(np.arange(len(nodes)) - np.repeat(_starts(num_paths), num_paths),
+    path = np.repeat(np.arange(len(sizes)) - np.repeat(_starts(num_paths), num_paths),
                      sizes - 1)
     a, b = _pairs_within(num_paths)
-    return CompiledMulti(num_paths,
+    return CompiledPaths(num_paths,
                          Ragged.pack(np.add.reduceat(sizes - 1, _starts(num_paths)), u, v, path),
                          Ragged.pack(num_paths * (num_paths - 1) // 2, a, b))
 
 
-def compile_singlepath(pool: SinglePathSet, graph: Graph) -> CompiledSingle:
-    if not pool.entries:
-        return CompiledSingle(Ragged.pack([], [], []), Ragged.pack([], [], [], []))
+def compile_singlepath(pool: SinglePathSet, graph: Graph) -> CompiledPaths:
+    """An entry's T terms, node pairs no edge joins, as path t (its span) vs T + t (the pair)."""
+    if not pool.entries:  # and then no graph is read
+        return compile_multipath([])
     nodes = [p.nodes for _, p in pool.entries]
     sizes = np.array([len(p) for p in nodes], dtype=np.int64)
     flat = np.fromiter(chain.from_iterable(nodes), dtype=np.int64, count=int(sizes.sum()))
     # node pairs by their positions in flat; those joined by an edge are no terms
     a, b = _pairs_within(sizes)
-    pair_entry = np.repeat(np.arange(len(nodes)), sizes * (sizes - 1) // 2)
+    pair_entry = np.repeat(np.arange(len(sizes)), sizes * (sizes - 1) // 2)
     first = _starts(sizes)[pair_entry]
     a, b = a + first, b + first
     ti, tj = flat[a], flat[b]
     n = graph.num_nodes
     keep = ~np.isin(np.minimum(ti, tj) * n + np.maximum(ti, tj),
                     graph.edges[:, 0] * n + graph.edges[:, 1])
-    a, b, ti, tj, term_entry = a[keep], b[keep], ti[keep], tj[keep], pair_entry[keep]
-    term_counts = np.bincount(term_entry, minlength=len(nodes))
-    # each term sums the path edges of its span, edge k joining flat[k] and flat[k + 1]
+    a, b, ti, tj, entry = a[keep], b[keep], ti[keep], tj[keep], pair_entry[keep]
+    terms = np.bincount(entry, minlength=len(sizes))
+    term = np.arange(a.size) - _starts(terms)[entry]
+    direct = term + terms[entry]
+    # term t sums the path edges of its span, edge k joining flat[k] and flat[k + 1]
     span = b - a
     at = np.repeat(a, span) + np.arange(span.sum()) - np.repeat(_starts(span), span)
-    term = np.repeat(np.arange(a.size) - _starts(term_counts)[term_entry], span)
-    edge_counts = np.bincount(np.repeat(term_entry, span), minlength=len(nodes))
-    return CompiledSingle(Ragged.pack(term_counts, ti, tj),
-                          Ragged.pack(edge_counts, flat[at], flat[at + 1], term))
+    spans = np.bincount(np.repeat(entry, span), minlength=len(sizes))
+    # an entry's span rows come first, then its direct rows, one per term
+    direct_row = np.zeros(at.size + a.size, dtype=bool)
+    direct_row[np.arange(a.size) + np.cumsum(spans)[entry]] = True
+    cols = [np.empty(direct_row.size, dtype=np.int64) for _ in range(3)]
+    for c, x, y in zip(cols, (flat[at], flat[at + 1], np.repeat(term, span)), (ti, tj, direct)):
+        c[~direct_row], c[direct_row] = x, y
+    return CompiledPaths(2 * terms, Ragged.pack(spans + terms, *cols),
+                         Ragged.pack(terms, term, direct))
+
+
+@dataclass
+class PathBatch:
+    """One pool's part of a step batch; path ids count across the batch."""
+
+    rel: np.ndarray           # each path edge's row of the relation table
+    path: np.ndarray          # each path edge's path
+    num_paths: int
+    a: np.ndarray             # compared paths (a, b)
+    b: np.ndarray
 
 
 @dataclass
@@ -183,18 +193,9 @@ class StepBatch:
 
     unique_u: np.ndarray
     unique_v: np.ndarray
-    # multi-path part (indices into the unique relation table)
-    m_rel: np.ndarray
-    m_edge_path: np.ndarray
-    m_num_paths: int
-    m_cmp_a: np.ndarray
-    m_cmp_b: np.ndarray
-    m_num_sets: int
-    # single-path part
-    s_rel: np.ndarray
-    s_edge_term: np.ndarray
-    t_rel: np.ndarray
-    s_num_terms: int
+    multi: PathBatch
+    single: PathBatch
+    num_sets: int             # multi-path sets drawn, the multi-path loss's divisor
     # elbo part
     e_rel: np.ndarray
     e_u: np.ndarray
@@ -219,10 +220,19 @@ def _unique_pairs(u: np.ndarray, v: np.ndarray, symmetric: bool):
     return keys // width, keys % width, inverse
 
 
+def _take_paths(cp: CompiledPaths, ids: np.ndarray):
+    """Items `ids`' edges (u, v) and PathBatch's other fields; a batch may draw an item twice."""
+    start = _starts(cp.num_paths[ids])
+    ec, u, v, path = cp.edges.take(ids)
+    cc, a, b = cp.cmps.take(ids)
+    return u, v, (path + np.repeat(start, ec), int(cp.num_paths[ids].sum()),
+                  a + np.repeat(start, cc), b + np.repeat(start, cc))
+
+
 def make_step_batch(
     metric: Backend,
-    cm: CompiledMulti,
-    cs: CompiledSingle,
+    cm: CompiledPaths,
+    cs: CompiledPaths,
     set_ids: np.ndarray,
     entry_ids: np.ndarray,
     elbo_pairs: np.ndarray,
@@ -237,15 +247,8 @@ def make_step_batch(
     2n's distance) each path and ELBO pair is stored as (min, max), so
     both directions share one row.
     """
-    # Item-local path and term ids shift by where their item's run
-    # starts in the batch, so a batch may draw the same set or entry twice.
-    pc = cm.num_paths[set_ids]
-    path_start = _starts(pc)
-    m_ec, m_u, m_v, m_path = cm.edges.take(set_ids)
-    m_cc, m_cmp_a, m_cmp_b = cm.cmps.take(set_ids)
-    tc, t_i, t_j = cs.terms.take(entry_ids)
-    s_ec, s_u, s_v, s_term = cs.edges.take(entry_ids)
-
+    m_u, m_v, multi = _take_paths(cm, set_ids)
+    s_u, s_v, single = _take_paths(cs, entry_ids)
     e_u, e_v = elbo_pairs.T
 
     cu, cv, cw = np.asarray([] if contrast is None else contrast, dtype=np.int64).reshape(-1, 3).T
@@ -253,23 +256,15 @@ def make_step_batch(
                                               np.concatenate([cv, cw]))
 
     unique_u, unique_v, inverse = _unique_pairs(
-        np.concatenate([m_u, s_u, t_i, e_u]), np.concatenate([m_v, s_v, t_j, e_v]),
-        metric.symmetric)
-    ofs = np.cumsum([m_u.size, s_u.size, t_i.size, e_u.size])
+        np.concatenate([m_u, s_u, e_u]), np.concatenate([m_v, s_v, e_v]), metric.symmetric)
+    ofs = np.cumsum([m_u.size, s_u.size, e_u.size])
     return StepBatch(
         unique_u=unique_u,
         unique_v=unique_v,
-        m_rel=inverse[: ofs[0]],
-        m_edge_path=m_path + np.repeat(path_start, m_ec),
-        m_num_paths=int(pc.sum()),
-        m_cmp_a=m_cmp_a + np.repeat(path_start, m_cc),
-        m_cmp_b=m_cmp_b + np.repeat(path_start, m_cc),
-        m_num_sets=int(set_ids.size),
-        s_rel=inverse[ofs[0]: ofs[1]],
-        s_edge_term=s_term + np.repeat(_starts(tc), s_ec),
-        t_rel=inverse[ofs[1]: ofs[2]],
-        s_num_terms=int(tc.sum()),
-        e_rel=inverse[ofs[2]: ofs[3]],
+        multi=PathBatch(inverse[: ofs[0]], *multi),
+        single=PathBatch(inverse[ofs[0]: ofs[1]], *single),
+        num_sets=int(set_ids.size),
+        e_rel=inverse[ofs[1]: ofs[2]],
         e_u=e_u,
         e_v=e_v,
         noise=noise,
@@ -299,20 +294,18 @@ def build_objective(
     terms: list[tuple[float, Tensor]] = []
     parts = {"loss_mul": 0.0, "loss_sin": 0.0, "elbo": 0.0, "loss_rank": 0.0}
 
-    if sb.m_num_sets and sb.m_cmp_a.size and cfg.balance > 0.0:
-        rp = [segment_sum(t, sb.m_rel, sb.m_edge_path, sb.m_num_paths)
-              for t in metric.summands(rel)]
-        d = metric.discrepancy([gather_rows(t, sb.m_cmp_a) for t in rp],
-                               [gather_rows(t, sb.m_cmp_b) for t in rp])
-        loss_mul = d.sum() * (1.0 / sb.m_num_sets)
+    mp, sp = sb.multi, sb.single
+    if mp.a.size and cfg.balance > 0.0:
+        rp = [segment_sum(t, mp.rel, mp.path, mp.num_paths) for t in metric.summands(rel)]
+        d = metric.discrepancy([gather_rows(t, mp.a) for t in rp],
+                               [gather_rows(t, mp.b) for t in rp])
+        loss_mul = d.sum() * (1.0 / sb.num_sets)
         parts["loss_mul"] = loss_mul.item()
         terms.append((cfg.balance, loss_mul))
 
-    if sb.s_num_terms and cfg.balance < 1.0:
-        loc = rel[0]
-        r_tot = metric.magnitude(segment_sum(loc, sb.s_rel, sb.s_edge_term, sb.s_num_terms))
-        r_dir = metric.magnitude(gather_rows(loc, sb.t_rel))
-        loss_sin = (r_tot - r_dir).exp().mean()
+    if sp.a.size and cfg.balance < 1.0:
+        r = metric.magnitude(segment_sum(rel[0], sp.rel, sp.path, sp.num_paths))
+        loss_sin = (gather_rows(r, sp.a) - gather_rows(r, sp.b)).exp().mean()
         parts["loss_sin"] = loss_sin.item()
         terms.append((1.0 - cfg.balance, loss_sin))
 
@@ -480,7 +473,7 @@ def train(
     noise_rng = np.random.default_rng(np.random.SeedSequence([int(cfg.seed), 0x40153]))
     contrast_rng = np.random.default_rng(np.random.SeedSequence([int(cfg.seed), 0xC0E7A]))
 
-    n_sets, n_entries = len(cm.edges), len(cs.terms)
+    n_sets, n_entries = len(cm.edges), len(cs.edges)
     metric = BACKENDS[cfg.backend]
     use_contrast = cfg.balance < 1.0 and graph.num_edges > 0
     set_cycler = _Cycler(n_sets, batch_rng)
@@ -558,7 +551,7 @@ def train(
     metadata = {
         "pool_multi_sets": n_sets,
         "pool_single_entries": n_entries,
-        "pool_single_terms": int(cs.terms.ptr[-1]),
+        "pool_single_terms": int(cs.cmps.ptr[-1]),
         "steps_per_epoch": steps_per_epoch,
         "epochs_run": epochs_run,
         "stopped_early": stopped_early,

@@ -29,7 +29,7 @@ def full_objective(state, cfg, graph=None, multi_pool=(), single_pool=SinglePath
     cs = compile_singlepath(single_pool, graph)
     elbo_pairs = graph.edges if noise is not None else np.empty((0, 2), dtype=np.int64)
     sb = make_step_batch(BACKENDS[cfg.backend], cm, cs, np.arange(len(cm.edges)),
-                         np.arange(len(cs.terms)), elbo_pairs, noise, contrast)
+                         np.arange(len(cs.edges)), elbo_pairs, noise, contrast)
     tensors = _tensors(state)
     total, parts = build_objective(tensors, sb, cfg)
     if total.requires_grad:

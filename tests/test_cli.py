@@ -274,6 +274,15 @@ class TestTrain:
                      "--out", str(tmp_path / "r")])
         assert code == EXIT_CONFIG
 
+    def test_config_file_that_is_not_utf8_exits_2(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.yaml"
+        cfg_path.write_bytes(b"train:\n  backend: \xff\n")
+        code = main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "r")])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"config file {cfg_path} is not valid YAML" in err and "utf-8" in err
+        assert not (tmp_path / "r").exists()
+
     def test_locked_run_directory_exits_2(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.yaml"
         write_yaml(cfg_path, toy_config())
@@ -574,6 +583,23 @@ class TestPrepare:
         np.testing.assert_array_equal(dataset.labels, [0, 0, 1, 1, -1, 0])
         assert dataset.class_names == ["a", "b"]
         assert dataset.graph.adjacency[3] == []
+
+    @pytest.mark.parametrize("manifest, why", [
+        ('["edges.txt"]', "must map file names to sha256 strings"),
+        ('{"edges.txt": 7}', "must map file names to sha256 strings"),
+        ('{"edges.txt": ', "is not JSON"),
+        (b"\xff", "is not JSON"),
+    ])
+    def test_malformed_checksums_manifest_exits_2(self, tmp_path, capsys, manifest, why):
+        raw = self.make_raw(tmp_path)
+        if isinstance(manifest, bytes):
+            (raw / "checksums.json").write_bytes(manifest)
+        else:
+            (raw / "checksums.json").write_text(manifest)
+        code = main(["prepare", str(raw), "--out", str(tmp_path / "prep")])
+        assert code == EXIT_CONFIG
+        assert f"{raw / 'checksums.json'} {why}" in capsys.readouterr().err
+        assert not (tmp_path / "prep").exists()
 
     def test_unknown_layout_exits_2(self, tmp_path, capsys):
         raw = tmp_path / "raw"

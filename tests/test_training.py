@@ -203,35 +203,49 @@ def test_compile_multipath_matches_loop_reference():
                                           40, seed=int(rng.integers(100))))
     assert any(pools[1:])
     for pool in pools:
-        cm = compile_multipath(pool)
-        num_paths, edge_counts, edge_cols, cmp_counts, cmp_cols = _loop_compile_multipath(pool)
-        for got, want in ((cm.num_paths, num_paths),
-                          (cm.edges.ptr, np.cumsum([0, *edge_counts])),
-                          (cm.cmps.ptr, np.cumsum([0, *cmp_counts])),
-                          *zip(cm.edges.cols, edge_cols), *zip(cm.cmps.cols, cmp_cols)):
-            assert got.dtype == np.int64
-            assert np.array_equal(got, np.asarray(want, dtype=np.int64))
+        assert_compiled(compile_multipath(pool), _loop_compile_multipath(pool))
+
+
+def assert_compiled(cp, reference):
+    """Every array of a compiled pool equals the reference's, as int64."""
+    num_paths, edge_counts, edge_cols, cmp_counts, cmp_cols = reference
+    for got, want in ((cp.num_paths, num_paths),
+                      (cp.edges.ptr, np.cumsum([0, *edge_counts])),
+                      (cp.cmps.ptr, np.cumsum([0, *cmp_counts])),
+                      *zip(cp.edges.cols, edge_cols), *zip(cp.cmps.cols, cmp_cols)):
+        assert got.dtype == np.int64
+        assert np.array_equal(got, np.asarray(want, dtype=np.int64))
+
+
+def _entry_terms(nodes, graph):
+    """An entry's terms in order: the (a, b) positions of its nodes that no edge joins."""
+    return [(a, b) for a in range(len(nodes)) for b in range(a + 1, len(nodes))
+            if not graph.has_edge(int(nodes[a]), int(nodes[b]))]
 
 
 def _loop_compile_singlepath(pool, graph):
-    """compile_singlepath's tables built entry by entry, as the reference."""
-    term_i, term_j, u, v, edge_term = [], [], [], [], []
-    term_counts, edge_counts = [], []
-    for _, path in pool.entries:
-        nodes = path.nodes
-        first_term, first_edge = len(term_i), len(u)
-        for a in range(len(nodes)):
-            for b in range(a + 1, len(nodes)):
-                if graph.has_edge(int(nodes[a]), int(nodes[b])):
-                    continue
-                u.extend(nodes[a:b])
-                v.extend(nodes[a + 1:b + 1])
-                edge_term.extend([len(term_i) - first_term] * (b - a))
-                term_i.append(nodes[a])
-                term_j.append(nodes[b])
-        term_counts.append(len(term_i) - first_term)
-        edge_counts.append(len(u) - first_edge)
-    return (term_counts, (term_i, term_j)), (edge_counts, (u, v, edge_term))
+    """compile_singlepath's layout built entry by entry, as the reference.
+
+    An entry with T terms has 2T paths: term t's span edges are path t,
+    its direct pair the one edge of path T + t, and t is compared with T + t.
+    """
+    u, v, path, a, b, num_paths, edge_counts = [], [], [], [], [], [], []
+    for _, p in pool.entries:
+        nodes, first = p.nodes, len(u)
+        terms = _entry_terms(nodes, graph)
+        for t, (i, j) in enumerate(terms):
+            u.extend(nodes[i:j])
+            v.extend(nodes[i + 1:j + 1])
+            path.extend([t] * (j - i))
+        for t, (i, j) in enumerate(terms):
+            u.append(nodes[i])
+            v.append(nodes[j])
+            path.append(len(terms) + t)
+            a.append(t)
+            b.append(len(terms) + t)
+        num_paths.append(2 * len(terms))
+        edge_counts.append(len(u) - first)
+    return (num_paths, edge_counts, (u, v, path), [n // 2 for n in num_paths], (a, b))
 
 
 def test_compile_singlepath_matches_loop_reference():
@@ -256,19 +270,20 @@ def test_compile_singlepath_matches_loop_reference():
         cases.append((g, SinglePathSet(tuple(walks))))
     assert sum(len(pool.entries) for _, pool in cases) > 100
     for g, pool in cases:
-        cs = compile_singlepath(pool, g)
-        for table, (counts, cols) in zip((cs.terms, cs.edges),
-                                         _loop_compile_singlepath(pool, g)):
-            for got, want in ((table.ptr, np.cumsum([0, *counts])), *zip(table.cols, cols)):
-                assert got.dtype == np.int64
-                assert np.array_equal(got, np.asarray(want, dtype=np.int64))
+        assert_compiled(compile_singlepath(pool, g), _loop_compile_singlepath(pool, g))
 
 
 def test_compile_singlepath_skips_graph_adjacent_terms():
     g = Graph(5, PATH_FIVE)
     pool = build_singlepath_pool(g, 4, 50, seed=0)
     cs = compile_singlepath(pool, g)
-    term_i, term_j = cs.terms.cols
+    u, v, path = cs.edges.cols
+    # an entry's direct pairs are its paths T..2T-1, one edge each
+    direct = path >= np.repeat(cs.num_paths // 2, np.diff(cs.edges.ptr))
+    term_i, term_j = u[direct], v[direct]
+    entry = np.repeat(np.arange(len(cs.edges)), np.diff(cs.edges.ptr))
+    assert np.array_equal(np.bincount(entry[direct], minlength=len(cs.edges)),
+                          cs.num_paths // 2)
     for i, j in zip(term_i, term_j):
         assert not g.has_edge(int(i), int(j))
     # the (0, 4) entry contributes non-adjacent spans (0,2),(0,3),(0,4),(1,3),(1,4),(2,4)
@@ -286,31 +301,43 @@ def test_step_batch_dedups_directed_pairs():
     edge_u, edge_v, _ = cm.edges.cols
     assert len(sb.unique_u) < len(edge_u)  # shared edges collapse
     # every compiled edge is recoverable through the inverse index
-    assert np.array_equal(sb.unique_u[sb.m_rel], edge_u)
-    assert np.array_equal(sb.unique_v[sb.m_rel], edge_v)
+    assert np.array_equal(sb.unique_u[sb.multi.rel], edge_u)
+    assert np.array_equal(sb.unique_v[sb.multi.rel], edge_v)
 
 
-def _reference_batch(multi, single, graph, set_ids, entry_ids):
-    """A batch's node pairs and index pairs, built item by item from the pools."""
-    m_pairs, edge_path, cmps, n_paths = [], [], [], 0
+def _reference_batch(items):
+    """One pool's part of a batch, built item by item.
+
+    `items` lists each drawn item's paths as node tuples and its compared
+    (a, b) pairs of local path ids; returns the batch's edge pairs, each
+    edge's path, the comparisons and the path count, ids counting across
+    the batch.
+    """
+    pairs, edge_path, cmps, n_paths = [], [], [], 0
+    for paths, compared in items:
+        for k, nodes in enumerate(paths):
+            pairs += list(zip(nodes, nodes[1:]))
+            edge_path += [n_paths + k] * (len(nodes) - 1)
+        cmps += [(n_paths + a, n_paths + b) for a, b in compared]
+        n_paths += len(paths)
+    return pairs, edge_path, cmps, n_paths
+
+
+def _set_items(multi, set_ids):
+    """Each drawn set's paths, every one compared with every later one."""
     for s in set_ids:
         paths = multi[s].paths
-        for k, p in enumerate(paths):
-            for a, b in zip(p.nodes, p.nodes[1:]):
-                m_pairs.append((a, b))
-                edge_path.append(n_paths + k)
-            cmps += [(n_paths + k, n_paths + j) for j in range(k + 1, len(paths))]
-        n_paths += len(paths)
-    s_pairs, edge_term, terms = [], [], []
+        yield ([p.nodes for p in paths],
+               [(k, j) for k in range(len(paths)) for j in range(k + 1, len(paths))])
+
+
+def _entry_items(single, graph, entry_ids):
+    """Each drawn entry's term spans, then its direct pairs, span t compared with pair t."""
     for e in entry_ids:
         nodes = single.entries[e][1].nodes
-        for i in range(len(nodes)):
-            for j in range(i + 1, len(nodes)):
-                if not graph.has_edge(nodes[i], nodes[j]):
-                    s_pairs += list(zip(nodes[i:j], nodes[i + 1:j + 1]))
-                    edge_term += [len(terms)] * (j - i)
-                    terms.append((nodes[i], nodes[j]))
-    return m_pairs, edge_path, cmps, s_pairs, edge_term, terms
+        terms = _entry_terms(nodes, graph)
+        yield ([nodes[i:j + 1] for i, j in terms] + [(nodes[i], nodes[j]) for i, j in terms],
+               [(t, len(terms) + t) for t in range(len(terms))])
 
 
 def test_step_batch_matches_per_item_reference():
@@ -338,16 +365,14 @@ def test_step_batch_matches_per_item_reference():
         def stored(ps):
             return [(min(a, b), max(a, b)) if symmetric else (a, b) for a, b in ps]
 
-        m_pairs, edge_path, cmps, s_pairs, edge_term, terms = _reference_batch(
-            mp, sp, g, set_ids, entry_ids)
-        assert pairs(sb.m_rel) == stored(m_pairs)
-        assert sb.m_edge_path.tolist() == edge_path
-        assert list(zip(sb.m_cmp_a.tolist(), sb.m_cmp_b.tolist())) == cmps
-        assert pairs(sb.s_rel) == stored(s_pairs)
-        assert sb.s_edge_term.tolist() == edge_term
-        assert pairs(sb.t_rel) == stored(terms)
-        assert (sb.m_num_sets, sb.m_num_paths, sb.s_num_terms) == (
-            len(set_ids), sum(len(mp[s].paths) for s in set_ids), len(terms))
+        for got, items in ((sb.multi, _set_items(mp, set_ids)),
+                           (sb.single, _entry_items(sp, g, entry_ids))):
+            edge_pairs, edge_path, cmps, n_paths = _reference_batch(items)
+            assert pairs(got.rel) == stored(edge_pairs)
+            assert got.path.tolist() == edge_path
+            assert list(zip(got.a.tolist(), got.b.tolist())) == cmps
+            assert got.num_paths == n_paths
+        assert sb.num_sets == len(set_ids)
 
 
 def test_term_less_entries_put_no_row_in_the_relation_table():
@@ -355,17 +380,35 @@ def test_term_less_entries_put_no_row_in_the_relation_table():
     g = Graph(5, np.array([[0, 1], [1, 2], [0, 2], [3, 4]]))
     sp = SinglePathSet((((0, 2), Path((0, 1, 2))), ((3, 4), Path((3, 4)))))
     cs = compile_singlepath(sp, g)
-    assert len(cs.terms) == len(cs.edges) == 2
-    assert cs.terms.ptr[-1] == cs.edges.ptr[-1] == 0
+    assert len(cs.cmps) == len(cs.edges) == 2
+    assert cs.cmps.ptr[-1] == cs.edges.ptr[-1] == 0
     for name in ("2n", "vi"):
         sb = make_step_batch(BACKENDS[name], compile_multipath([]), cs,
                              np.empty(0, dtype=np.int64), np.array([0, 1, 1]),
                              np.empty((0, 2), dtype=np.int64), None)
-        assert sb.s_num_terms == 0
-        assert sb.unique_u.size == sb.s_rel.size == sb.t_rel.size == 0
+        assert sb.single.num_paths == sb.single.a.size == 0
+        assert sb.unique_u.size == sb.single.rel.size == 0
         cfg = small_cfg(backend=name)
         parts = build_objective(_tensors(init_state(cfg, g)), sb, cfg)[1]
         assert parts["loss_sin"] == parts["loss"] == 0.0
+
+
+@pytest.mark.parametrize("name", ["2n", "vi"])
+def test_direct_pair_rows_share_no_row_with_path_edges_or_elbo_pairs(name):
+    # a direct pair is never a graph edge, so its row of the relation table
+    # takes gradients from its own comparisons only
+    g = Graph(14, CYCLES_WITH_TAILS)
+    cfg = small_cfg(backend=name, max_len=5)
+    mp, sp = pools_for(g, cfg)
+    cm, cs = compile_multipath(mp), compile_singlepath(sp, g)
+    sb = make_step_batch(BACKENDS[name], cm, cs, np.arange(len(mp)),
+                         np.arange(len(sp.entries)), g.edges, vi_noise(cfg, g))
+    direct = np.isin(sb.single.path, sb.single.b)
+    direct_rows = set(sb.single.rel[direct].tolist())
+    others = {"span": sb.single.rel[~direct], "multi-path": sb.multi.rel, "elbo": sb.e_rel}
+    assert direct_rows and all(rows.size for rows in others.values())
+    for rows in others.values():
+        assert direct_rows.isdisjoint(rows.tolist())
 
 
 class DirectedTwoNorm(TwoNorm):
@@ -514,11 +557,11 @@ def test_half_batch_losses_recombine_to_full():
     full, sb_full = parts_for(all_sets, all_entries)
     h1, sb1 = parts_for(all_sets[: len(mp) // 2], all_entries[: len(sp.entries) // 2])
     h2, sb2 = parts_for(all_sets[len(mp) // 2:], all_entries[len(sp.entries) // 2:])
-    n1, n2 = sb1.m_num_sets, sb2.m_num_sets
+    n1, n2 = sb1.num_sets, sb2.num_sets
     assert full["loss_mul"] == pytest.approx(
         (h1["loss_mul"] * n1 + h2["loss_mul"] * n2) / (n1 + n2), rel=1e-12
     )
-    t1, t2 = sb1.s_num_terms, sb2.s_num_terms
+    t1, t2 = sb1.single.a.size, sb2.single.a.size
     assert full["loss_sin"] == pytest.approx(
         (h1["loss_sin"] * t1 + h2["loss_sin"] * t2) / (t1 + t2), rel=1e-12
     )
@@ -537,8 +580,11 @@ def test_duplicate_batch_ids_keep_terms_wired_and_weighted():
     def parts_for(set_ids, entry_ids):
         sb = make_step_batch(BACKENDS[cfg.backend], cm, cs, np.asarray(set_ids),
                              np.asarray(entry_ids), np.empty((0, 2), dtype=np.int64), None)
-        counts = np.bincount(sb.s_edge_term, minlength=sb.s_num_terms)
-        assert sb.s_num_terms == 0 or counts.min() >= 2
+        # every term keeps its own span of two or more edges and its own direct pair
+        counts = np.bincount(sb.single.path, minlength=sb.single.num_paths)
+        assert np.all(counts[sb.single.a] >= 2) and np.all(counts[sb.single.b] == 1)
+        assert np.array_equal(np.sort(np.concatenate([sb.single.a, sb.single.b])),
+                              np.arange(sb.single.num_paths))
         _, parts = build_objective(_tensors(state), sb, cfg)
         return parts
 
