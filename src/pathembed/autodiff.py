@@ -5,11 +5,12 @@ implemented (elementwise arithmetic, exp/log/relu/clamp, 2-D matmul,
 reductions, row gather and slice, a segment sum of gathered rows,
 concatenation, and zero-safe row norms and pair distances), plus two
 fused layers of the relation networks: an affine map and the pair hidden
-layer. All data is float64. Graphs are built eagerly and differentiated
-by an iterative topological sweep, so deep chains do not hit the
-interpreter recursion limit. A graph lives as long as its output tensor:
-the backward sweep frees interior gradients but no forward data, so the
-caller drops the output to free the graph.
+layer. Every sum of rows by index, each pass of the segment sum and each
+gradient scatter, is one `scatter_rows`. All data is float64. Graphs are
+built eagerly and differentiated by an iterative topological sweep, so
+deep chains do not hit the interpreter recursion limit. A graph lives as
+long as its output tensor: the backward sweep frees interior gradients
+but no forward data, so the caller drops the output to free the graph.
 """
 
 from __future__ import annotations
@@ -192,7 +193,7 @@ class Tensor:
         return Tensor(self.data * mask, _parents=(self,), _vjp=lambda g: (g * mask,))
 
     def clamp(self, lo: float, hi: float) -> "Tensor":
-        # gradient passes only where the input is strictly inside the box
+        # gradient passes only where the input is inside the box, bounds included
         mask = (self.data >= lo) & (self.data <= hi)
         out_data = np.clip(self.data, lo, hi)
         return Tensor(out_data, _parents=(self,), _vjp=lambda g: (g * mask,))
@@ -218,41 +219,35 @@ def _wrap(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _onehot(index: Array, cols: Array, sign: Array, num_rows: int, num_cols: int):
-    """The sparse matrix with sign[i] at (index[i], cols[i]), each row's entries in order of i.
+def scatter_rows(index: Array, values: Array, num_rows: int, take: Array | None = None,
+                 minus: Array | None = None) -> Array:
+    """out[index[i]] += values[take[i]] for each i (take defaults to i), from 0.
 
-    A product with it adds each row's terms in that order, as np.add.at
-    would: scipy keeps repeated (row, col) entries apart and adds them
-    one by one.
+    Rows are added in order of i, as np.add.at does, so the result is the
+    same to the bit. 1-D values are summed by bincount, others by one
+    product with a one-hot sparse matrix, which reads the rows in place and
+    is several times faster: scipy keeps repeated (row, col) entries apart
+    and adds each row's entries one by one. With `minus`, each row
+    values[take[i]] is also subtracted at minus[i], after all additions to
+    that row, as np.subtract.at after np.add.at would.
     """
+    index = np.asarray(index, dtype=np.intp)
+    cols = np.arange(index.size) if take is None else np.asarray(take, dtype=np.intp)
+    sign = np.ones(index.size)
+    if minus is not None:
+        index = np.concatenate([index, np.asarray(minus, dtype=np.intp)])
+        cols, sign = np.tile(cols, 2), np.concatenate([sign, -sign])
+    # for 1-D values the sums; otherwise each row's entry count
+    sums = np.bincount(index, values[cols] * sign if values.ndim == 1 else None, num_rows)
+    if values.ndim == 1:
+        return sums
     # a stable sort keeps each row's entries in order of i; numpy radix-sorts 16-bit keys
     keys = index.astype(np.uint16) if num_rows <= 1 << 16 else index
     order = np.argsort(keys, kind="stable")
-    indptr = np.concatenate([[0], np.cumsum(np.bincount(index, minlength=num_rows))])
-    return sparse.csr_matrix((sign[order], cols[order], indptr), shape=(num_rows, num_cols))
-
-
-def scatter_rows(index: Array, values: Array, num_rows: int, minus: Array | None = None) -> Array:
-    """out[r] = sum of the rows values[i] over i with index[i] == r.
-
-    Rows are added in order of i, as np.add.at does, so the result is the
-    same to the bit; a one-hot sparse product is several times faster.
-    With `minus`, each row values[i] is also subtracted at minus[i], after
-    all additions to that row, as np.subtract.at after np.add.at would.
-    """
-    index = np.asarray(index, dtype=np.intp)
-    row_shape = values.shape[index.ndim:]
-    index = index.reshape(-1)
-    size = index.size
-    cols, sign = np.arange(size), np.ones(size)
-    if minus is not None:
-        index = np.concatenate([index, np.asarray(minus, dtype=np.intp).reshape(-1)])
-        cols, sign = np.tile(cols, 2), np.concatenate([sign, -sign])
-    if not row_shape:
-        return np.bincount(index, weights=values.reshape(-1)[cols] * sign, minlength=num_rows)
-    onehot = _onehot(index, cols, sign, num_rows, size)
-    out = onehot @ values.reshape(size, int(np.prod(row_shape)))
-    return np.asarray(out).reshape((num_rows,) + row_shape)
+    onehot = sparse.csr_matrix((sign[order], cols[order], np.concatenate([[0], np.cumsum(sums)])),
+                               shape=(num_rows, len(values)))
+    out = onehot @ values.reshape(len(values), int(np.prod(values.shape[1:])))
+    return np.asarray(out).reshape((num_rows,) + values.shape[1:])
 
 
 def gather_rows(x: Tensor, index: Array) -> Tensor:
@@ -277,26 +272,18 @@ def row_slice(x: Tensor, start: int, stop: int) -> Tensor:
 def segment_sum(x: Tensor, rows: Array, segments: Array, num_segments: int) -> Tensor:
     """out[s] = sum of the rows x[rows[i]] over i with segments[i] == s. Empty segments are 0.
 
-    The same sums, added in order of i, as scatter_rows(segments,
-    x[rows], num_segments), and the gradient is scatter_rows(rows,
-    g[segments], len(x)); each is one sparse product, so neither pass
-    copies the gathered rows.
+    Rows are added in order of i. Each pass is one scatter_rows whose
+    `take` names the rows: out = scatter_rows(segments, x, num_segments,
+    take=rows), and the gradient is scatter_rows(rows, g, len(x),
+    take=segments).
     """
     rows = np.asarray(rows, dtype=np.intp)
     segments = np.asarray(segments, dtype=np.intp)
     if rows.shape != segments.shape or rows.ndim != 1:
         raise ValueError("one segment id per summed row is required")
     num_rows = x.data.shape[0]
-    ones = np.ones(rows.size)
-    flat = x.data.reshape(num_rows, -1)
-    out_data = (_onehot(segments, rows, ones, num_segments, num_rows) @ flat).reshape(
-        (num_segments,) + x.data.shape[1:])
-
-    def vjp(g: Array):
-        back = _onehot(rows, segments, ones, num_rows, num_segments)
-        return ((back @ g.reshape(num_segments, -1)).reshape(x.data.shape),)
-
-    return Tensor(out_data, _parents=(x,), _vjp=vjp)
+    return Tensor(scatter_rows(segments, x.data, num_segments, take=rows), _parents=(x,),
+                  _vjp=lambda g: (scatter_rows(rows, g, num_rows, take=segments),))
 
 
 def concat(tensors: Sequence[Tensor], axis: int = 1) -> Tensor:

@@ -338,7 +338,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, DatasetError, GraphError, FileNotFoundError) as exc:
+    except (ConfigError, DatasetError, GraphError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (TrainingError, FloatingPointError, ValueError) as exc:

@@ -30,6 +30,7 @@ import numpy as np
 
 from pathembed.autodiff import Tensor, gather_rows, pair_distance, row_slice, segment_sum
 from pathembed.config import ConfigError, TrainConfig, parse_section
+from pathembed.evaluation import auc_score, score_pairs
 from pathembed.graph import Graph
 from pathembed.paths import (
     MultiPathSet,
@@ -144,8 +145,6 @@ def compile_multipath(pool: list[MultiPathSet]) -> CompiledPaths:
 
 def compile_singlepath(pool: SinglePathSet, graph: Graph) -> CompiledPaths:
     """An entry's T terms, node pairs no edge joins, as path t (its span) vs T + t (the pair)."""
-    if not pool.entries:  # and then no graph is read
-        return compile_multipath([])
     nodes = [p.nodes for _, p in pool.entries]
     sizes = np.array([len(p) for p in nodes], dtype=np.int64)
     flat = np.fromiter(chain.from_iterable(nodes), dtype=np.int64, count=int(sizes.sum()))
@@ -491,8 +490,6 @@ def train(
     track_val = bool(
         val_pos is not None and val_neg is not None and len(val_pos) and len(val_neg)
     )
-    if track_val:
-        from pathembed.evaluation import auc_score, score_pairs  # deferred to avoid cycles
 
     for epoch in range(cfg.epochs):
         epochs_run = epoch + 1

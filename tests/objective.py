@@ -15,7 +15,7 @@ from pathembed.training import (
 )
 
 
-def full_objective(state, cfg, graph=None, multi_pool=(), single_pool=SinglePathSet(()),
+def full_objective(state, cfg, graph, multi_pool=(), single_pool=SinglePathSet(()),
                    noise=None, contrast=None):
     """(parts, grads): the step objective with every pool item in one batch.
 

@@ -282,7 +282,7 @@ def test_criterion_4_constraint_satisfiability():
     single = build_singlepath_pool(cycle, cfg.max_len, cfg.max_pairs, cfg.seed)
     result = train(cycle, cfg, multi_pool=multi, single_pool=single)
     steps = len(result.history)  # one batch per epoch at this size
-    final_mul = full_objective(result.state, cfg, multi_pool=multi)[0]["loss_mul"]
+    final_mul = full_objective(result.state, cfg, cycle, multi_pool=multi)[0]["loss_mul"]
     ok_cycle = final_mul < 1e-3 and steps <= 500
 
     chain = Graph(5, np.array([[0, 1], [1, 2], [2, 3], [3, 4]]))

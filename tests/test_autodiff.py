@@ -104,10 +104,11 @@ def test_softplus_grad_and_no_overflow():
 
 
 def test_clamp_grad_masks_outside():
-    x = np.array([-2.0, -0.5, 0.3, 1.4])
+    # the bounds themselves pass the gradient
+    x = np.array([-2.0, -1.0, -0.5, 0.3, 1.0, 1.4])
     t = Tensor(x, requires_grad=True)
     t.clamp(-1.0, 1.0).sum().backward()
-    np.testing.assert_array_equal(t.grad, [0.0, 1.0, 1.0, 0.0])
+    np.testing.assert_array_equal(t.grad, [0.0, 1.0, 1.0, 1.0, 1.0, 0.0])
 
 
 def test_matmul_grad():
@@ -191,6 +192,26 @@ def test_signed_scatter_rows_equals_add_at_then_subtract_at_bitwise():
             assert np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("signed", [False, True], ids=["add", "add-then-subtract"])
+def test_scatter_rows_with_take_equals_add_at_bitwise(signed):
+    # take repeats value rows and skips some; out rows 7 and 8 get nothing
+    rng = np.random.default_rng(17)
+    for row_shape in [(), (3,), (2, 4)]:
+        for n in [0, 1, 300]:
+            idx = rng.integers(0, 7, size=n)
+            minus = rng.integers(0, 7, size=n) if signed else None
+            take = rng.integers(0, 6, size=n)
+            vals = rng.normal(size=(6,) + row_shape) * 10.0 ** rng.integers(-8, 8, size=6).reshape(
+                (6,) + (1,) * len(row_shape))
+            want = np.zeros((9,) + row_shape)
+            np.add.at(want, idx, vals[take])
+            if signed:
+                np.subtract.at(want, minus, vals[take])
+            got = scatter_rows(idx, vals, 9, take=take, minus=minus)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("num_rows", [65535, 65536, 65537])
 def test_scatter_rows_at_the_16_bit_sort_boundary(num_rows):
     # up to 65536 rows the ids sort as 16-bit keys; one row more takes the wide sort
@@ -239,9 +260,15 @@ def test_segment_sum_equals_the_gathered_scatter_bitwise(row_shape):
 
     t = Tensor(x, requires_grad=True)
     out = segment_sum(t, rows, seg, num_segments)
+    want = np.zeros((num_segments,) + row_shape)
+    np.add.at(want, seg, x[rows])
+    assert out.data.tobytes() == want.tobytes()
     assert out.data.tobytes() == scatter_rows(seg, x[rows], num_segments).tobytes()
     assert not out.data[6:].any()
     (out * Tensor(g)).sum().backward()
+    want = np.zeros(shape)
+    np.add.at(want, rows, g[seg])
+    assert t.grad.tobytes() == want.tobytes()
     assert t.grad.tobytes() == scatter_rows(rows, g[seg], num_rows).tobytes()
 
     def f(arrays):

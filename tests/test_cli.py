@@ -785,3 +785,33 @@ class TestSweep:
         assert "embedding_dim=2" in capsys.readouterr().err
         assert calls == []
         assert out.read_bytes() == before
+
+
+# -- path arguments ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("case", ["eval --checkpoint <dir>", "eval --split <file>",
+                                  "train --out <file>", "prepare --out <file>",
+                                  "sweep --out <dir>"])
+def test_path_argument_of_the_wrong_kind_exits_2(case, tmp_path, request, capsys):
+    # a directory where a file belongs, or a file where a directory belongs
+    a_file = tmp_path / "a_file"
+    a_file.write_text("")
+    cfg_path = tmp_path / "sweep.yaml"
+    write_yaml(cfg_path, sweep_config([4], trials=1))
+    raw = TestPrepare().make_raw(tmp_path)
+    run = request.getfixturevalue("toy_run") if case.startswith("eval") else None
+    capsys.readouterr()
+    argv, path = {
+        "eval --checkpoint <dir>": lambda: (["eval", "--checkpoint", str(run), "--split",
+                                             str(run / "split")], run),
+        "eval --split <file>": lambda: (["eval", "--checkpoint", str(run / "checkpoint.npz"),
+                                         "--split", str(a_file)], a_file),
+        "train --out <file>": lambda: (["train", "--config", str(cfg_path), "--out",
+                                        str(a_file)], a_file),
+        "prepare --out <file>": lambda: (["prepare", str(raw), "--out", str(a_file)], a_file),
+        "sweep --out <dir>": lambda: (["sweep", "--config", str(cfg_path), "--out",
+                                       str(tmp_path)], tmp_path),
+    }[case]()
+    assert main(argv) == EXIT_CONFIG
+    assert str(path) in capsys.readouterr().err

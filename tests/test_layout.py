@@ -192,3 +192,23 @@ def test_config_sits_below_training_and_no_function_imports_config_error():
                          if isinstance(node, ast.ImportFrom)
                          and "ConfigError" in {alias.name for alias in node.names}]
     assert late == []
+
+
+def test_no_function_imports_a_package_module_but_the_sweep_point():
+    # package modules import each other at the top, so a cycle shows on import;
+    # evaluation._sweep_point imports training, which imports evaluation
+    late = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Import):
+                    modules = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    modules = ["pathembed" if node.level else node.module]
+                else:
+                    continue
+                late += [f"{path.stem}.{fn.name} imports {m}" for m in modules
+                         if m.split(".")[0] == "pathembed"]
+    assert late == ["evaluation._sweep_point imports pathembed.training"]

@@ -455,7 +455,7 @@ def test_loss_mul_unit_square_four_cycle():
     pool = build_multipath_pool(g, 3, 4, 50, seed=0)
     assert len(pool) == 6
     cfg = small_cfg(embedding_dim=2, max_len=3)
-    value = full_objective(unit_square_state(), cfg, multi_pool=pool)[0]["loss_mul"]
+    value = full_objective(unit_square_state(), cfg, g, multi_pool=pool)[0]["loss_mul"]
     assert value == pytest.approx(8.0 / 3.0, rel=1e-12)
 
 
@@ -464,7 +464,7 @@ def test_loss_mul_zero_on_tree():
     cfg = small_cfg()
     pool = build_multipath_pool(g, cfg.max_len, cfg.max_paths, cfg.max_pairs, cfg.seed)
     assert pool == []
-    assert full_objective(init_state(cfg, g), cfg, multi_pool=pool)[0]["loss_mul"] == 0.0
+    assert full_objective(init_state(cfg, g), cfg, g, multi_pool=pool)[0]["loss_mul"] == 0.0
 
 
 def test_loss_sin_surrogate_positive_and_r_equal_gives_one():
@@ -504,7 +504,7 @@ def test_balance_endpoints_match_constituents_exactly():
     cfg1 = small_cfg(balance=1.0)
     cfg0 = small_cfg(balance=0.0)
     assert (full_objective(state, cfg1, g, mp, sp)[0]["loss"]
-            == full_objective(state, cfg1, multi_pool=mp)[0]["loss_mul"])
+            == full_objective(state, cfg1, g, multi_pool=mp)[0]["loss_mul"])
     assert (full_objective(state, cfg0, g, mp, sp)[0]["loss"]
             == full_objective(state, cfg0, g, single_pool=sp)[0]["loss_sin"])
 
@@ -514,7 +514,7 @@ def test_total_loss_blends_with_balance():
     cfg = small_cfg(balance=0.3)
     mp, sp = pools_for(g, cfg)
     state = init_state(cfg, g)
-    lm = full_objective(state, cfg, multi_pool=mp)[0]["loss_mul"]
+    lm = full_objective(state, cfg, g, multi_pool=mp)[0]["loss_mul"]
     ls = full_objective(state, cfg, g, single_pool=sp)[0]["loss_sin"]
     tot = full_objective(state, cfg, g, mp, sp)[0]["loss"]
     assert tot == pytest.approx(0.3 * lm + 0.7 * ls, rel=1e-12)
@@ -532,7 +532,7 @@ def test_total_loss_vi_subtracts_elbo_and_is_noise_deterministic():
     other = full_objective(state, cfg, g, mp, sp, vi_noise(cfg, g, seed=5))[0]["loss"]
     assert a != other
     # subtracting the elbo raises the loss relative to the elbo-free blend
-    lm = full_objective(state, cfg, multi_pool=mp)[0]["loss_mul"]
+    lm = full_objective(state, cfg, g, multi_pool=mp)[0]["loss_mul"]
     ls = full_objective(state, cfg, g, single_pool=sp)[0]["loss_sin"]
     blend = 0.5 * lm + 0.5 * ls
     assert a != pytest.approx(blend)
@@ -832,7 +832,7 @@ def test_train_four_cycle_drives_equivalence_loss_down():
     mp = build_multipath_pool(g, cfg.max_len, cfg.max_paths, cfg.max_pairs, cfg.seed)
     sp = build_singlepath_pool(g, cfg.max_len, cfg.max_pairs, cfg.seed)
     r = train(g, cfg, multi_pool=mp, single_pool=sp)
-    assert full_objective(r.state, cfg, multi_pool=mp)[0]["loss_mul"] < 1e-3
+    assert full_objective(r.state, cfg, g, multi_pool=mp)[0]["loss_mul"] < 1e-3
 
 
 def test_train_on_tree_with_full_balance_is_a_no_op():
