@@ -3,14 +3,18 @@
 Small on purpose: only the operations the training objectives need are
 implemented (elementwise arithmetic, exp/log/relu/clamp, 2-D matmul,
 reductions, row gather and slice, a segment sum of gathered rows,
-concatenation, and zero-safe row norms and pair distances), plus two
-fused layers of the relation networks: an affine map and the pair hidden
-layer. Every sum of rows by index, each pass of the segment sum and each
-gradient scatter, is one `scatter_rows`. All data is float64. Graphs are
-built eagerly and differentiated by an iterative topological sweep, so
-deep chains do not hit the interpreter recursion limit. A graph lives as
-long as its output tensor: the backward sweep frees interior gradients
-but no forward data, so the caller drops the output to free the graph.
+column concatenation, and zero-safe row norms and pair distances), plus
+two fused layers of the relation networks: an affine map and the pair
+hidden layer. `+ - * /` take a Tensor of exactly the same shape or a
+constant, a Python float or an ndarray of that shape, and raise
+ValueError for any other operand: nothing broadcasts, and a constant is
+no graph node. A bias row is added by `affine` or `pair_hidden`. Every
+sum of rows by index, each pass of the segment sum and each gradient
+scatter, is one `scatter_rows`. All data is float64. Graphs are built
+eagerly and differentiated by an iterative topological sweep, so deep
+chains do not hit the interpreter recursion limit. A graph lives as long
+as its output tensor: the backward sweep frees interior gradients but no
+forward data, so the caller drops the output to free the graph.
 """
 
 from __future__ import annotations
@@ -21,23 +25,6 @@ import numpy as np
 from scipy import sparse
 
 Array = np.ndarray
-
-
-def _as_array(x) -> Array:
-    return np.asarray(x, dtype=np.float64)
-
-
-def _unbroadcast(grad: Array, shape: tuple[int, ...]) -> Array:
-    """Sum `grad` over the axes numpy broadcasting introduced."""
-    if grad.shape == shape:
-        return grad
-    extra = grad.ndim - len(shape)
-    if extra > 0:
-        grad = grad.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, n in enumerate(shape) if n == 1 and grad.shape[i] != 1)
-    if axes:
-        grad = grad.sum(axis=axes, keepdims=True)
-    return grad.reshape(shape)
 
 
 class Tensor:
@@ -52,7 +39,7 @@ class Tensor:
         _parents: tuple["Tensor", ...] = (),
         _vjp: Callable[[Array], tuple[Array | None, ...]] | None = None,
     ):
-        self.data = _as_array(data)
+        self.data = np.asarray(data, dtype=np.float64)
         self.grad: Array | None = None
         self.requires_grad = bool(requires_grad) or any(p.requires_grad for p in _parents)
         self._parents = _parents if self.requires_grad else ()
@@ -122,55 +109,45 @@ class Tensor:
 
     # -- elementwise arithmetic ----------------------------------------
 
+    def _binary(self, other, op, grad_self, grad_other) -> "Tensor":
+        """op(self, other) for a Tensor of self's shape or a constant, else ValueError.
+
+        A constant, a Python float or an ndarray of self's shape, gets no
+        parent and no gradient. grad_self and grad_other map (g, a, b) to
+        each operand's gradient.
+        """
+        a = self.data
+        if isinstance(other, float):
+            b = other
+        elif isinstance(other, (Tensor, np.ndarray)) and other.shape == a.shape:
+            b = other.data if isinstance(other, Tensor) else other
+        else:
+            raise ValueError(f"an operand of a tensor of shape {a.shape} is a Tensor or array "
+                             f"of that shape or a float, not {type(other).__name__} of shape "
+                             f"{getattr(other, 'shape', np.shape(other))}")
+        if isinstance(other, Tensor):
+            return Tensor(op(a, b), _parents=(self, other),
+                          _vjp=lambda g: (grad_self(g, a, b), grad_other(g, a, b)))
+        return Tensor(op(a, b), _parents=(self,), _vjp=lambda g: (grad_self(g, a, b),))
+
     def __add__(self, other) -> "Tensor":
-        other = _wrap(other)
-        out_data = self.data + other.data
-
-        def vjp(g: Array):
-            return (_unbroadcast(g, self.data.shape), _unbroadcast(g, other.data.shape))
-
-        return Tensor(out_data, _parents=(self, other), _vjp=vjp)
+        return self._binary(other, np.add, lambda g, a, b: g, lambda g, a, b: g)
 
     def __sub__(self, other) -> "Tensor":
-        other = _wrap(other)
-        out_data = self.data - other.data
-
-        def vjp(g: Array):
-            return (_unbroadcast(g, self.data.shape), _unbroadcast(-g, other.data.shape))
-
-        return Tensor(out_data, _parents=(self, other), _vjp=vjp)
+        return self._binary(other, np.subtract, lambda g, a, b: g, lambda g, a, b: -g)
 
     def __mul__(self, other) -> "Tensor":
-        other = _wrap(other)
-        out_data = self.data * other.data
-        a, b = self.data, other.data
-
-        def vjp(g: Array):
-            return (_unbroadcast(g * b, a.shape), _unbroadcast(g * a, b.shape))
-
-        return Tensor(out_data, _parents=(self, other), _vjp=vjp)
+        return self._binary(other, np.multiply, lambda g, a, b: g * b, lambda g, a, b: g * a)
 
     def __truediv__(self, other) -> "Tensor":
-        other = _wrap(other)
-        a, b = self.data, other.data
-        out_data = a / b
+        return self._binary(other, np.divide, lambda g, a, b: g / b,
+                            lambda g, a, b: -g * a / (b * b))
 
-        def vjp(g: Array):
-            return (_unbroadcast(g / b, a.shape), _unbroadcast(-g * a / (b * b), b.shape))
-
-        return Tensor(out_data, _parents=(self, other), _vjp=vjp)
-
-    def __matmul__(self, other) -> "Tensor":
-        other = _wrap(other)
+    def __matmul__(self, other: "Tensor") -> "Tensor":
         a, b = self.data, other.data
         if a.ndim != 2 or b.ndim != 2:
             raise ValueError("matmul expects 2-D operands")
-        out_data = a @ b
-
-        def vjp(g: Array):
-            return (g @ b.T, a.T @ g)
-
-        return Tensor(out_data, _parents=(self, other), _vjp=vjp)
+        return Tensor(a @ b, _parents=(self, other), _vjp=lambda g: (g @ b.T, a.T @ g))
 
     # -- nonlinearities ------------------------------------------------
 
@@ -213,10 +190,6 @@ class Tensor:
 
     def mean(self) -> "Tensor":
         return self.sum() * (1.0 / self.data.size)
-
-
-def _wrap(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
 
 
 def scatter_rows(index: Array, values: Array, num_rows: int, take: Array | None = None,
@@ -286,16 +259,12 @@ def segment_sum(x: Tensor, rows: Array, segments: Array, num_segments: int) -> T
                   _vjp=lambda g: (scatter_rows(rows, g, num_rows, take=segments),))
 
 
-def concat(tensors: Sequence[Tensor], axis: int = 1) -> Tensor:
-    tensors = list(tensors)
-    out_data = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.data.shape[axis] for t in tensors]
-    offsets = np.cumsum(sizes)[:-1]
-
-    def vjp(g: Array):
-        return tuple(np.split(g, offsets, axis=axis))
-
-    return Tensor(out_data, _parents=tuple(tensors), _vjp=vjp)
+def concat(tensors: Sequence[Tensor]) -> Tensor:
+    """2-D tensors side by side, as column blocks."""
+    tensors = tuple(tensors)
+    offsets = np.cumsum([t.data.shape[1] for t in tensors])[:-1]
+    return Tensor(np.concatenate([t.data for t in tensors], axis=1), _parents=tensors,
+                  _vjp=lambda g: tuple(np.split(g, offsets, axis=1)))
 
 
 def pair_distance(x: Tensor, u: Array, v: Array) -> Tensor:

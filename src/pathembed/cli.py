@@ -103,6 +103,17 @@ def _write_json(path: FilePath, payload: dict) -> None:
         fh.write("\n")
 
 
+def _path(text: str, option: str, kind: str, output: bool = False) -> FilePath:
+    """An option's path if it is a `kind` ("file" or "directory"), or an output not there yet.
+
+    Anything else is a ConfigError that names the option.
+    """
+    path = FilePath(text)
+    if (output and not path.exists()) or (path.is_file() if kind == "file" else path.is_dir()):
+        return path
+    raise ConfigError(f"{option} {path} is not a {kind}")
+
+
 def _seed(text: str) -> int:
     """A --seed value: a non-negative integer."""
     if not text.isdecimal():
@@ -121,7 +132,9 @@ def _apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
 
 
 def cmd_prepare(args: argparse.Namespace) -> int:
-    report = prepare_dataset(args.raw_dir, args.out, name=args.name)
+    out_dir = _path(args.out, "--out", "directory", output=True)
+    report = prepare_dataset(_path(args.raw_dir, "raw_dir", "directory"), out_dir,
+                             name=args.name)
     print(f"prepared dataset: {report['name']}")
     print(f"  nodes:  {report['num_nodes']}")
     print(f"  edges:  {report['num_edges']}")
@@ -133,8 +146,8 @@ def cmd_prepare(args: argparse.Namespace) -> int:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    cfg = _apply_overrides(load_config(args.config), args)
-    out_dir = FilePath(args.out)
+    cfg = _apply_overrides(load_config(_path(args.config, "--config", "file")), args)
+    out_dir = _path(args.out, "--out", "directory", output=True)
     out_dir.mkdir(parents=True, exist_ok=True)
     start = time.time()
 
@@ -207,9 +220,15 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    state, tcfg = load_checkpoint(args.checkpoint)
+    checkpoint = _path(args.checkpoint, "--checkpoint", "file")
+    split_dir = _path(args.split, "--split", "directory")
+    # the run's own labels are optional, an explicit --labels file is not
+    labels_path = (split_dir.parent / "labels.tsv" if args.labels is None
+                   else _path(args.labels, "--labels", "file"))
+    out_path = _path(args.out, "--out", "file", output=True) if args.out else None
+    state, tcfg = load_checkpoint(checkpoint)
     if args.config is not None:
-        requested = load_config(args.config).train
+        requested = load_config(_path(args.config, "--config", "file")).train
         for field_name in ("backend", "embedding_dim", "hidden_dim"):
             have = getattr(tcfg, field_name)
             want = getattr(requested, field_name)
@@ -218,7 +237,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
                     f"checkpoint/config mismatch: checkpoint has "
                     f"{field_name}={have!r} but config asks for {want!r}"
                 )
-    split = load_split(args.split)
+    split = load_split(split_dir)
     num_nodes = state.embeddings.values.shape[0]
     if split.train_graph.num_nodes != num_nodes:
         raise ConfigError(
@@ -226,12 +245,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
             f"nodes but the split graph has {split.train_graph.num_nodes}"
         )
 
-    # the run's own labels are optional, an explicit --labels file is not
-    labels_path = FilePath(args.split).parent / "labels.tsv"
-    if args.labels is not None:
-        labels_path = FilePath(args.labels)
-        if not labels_path.is_file():
-            raise ConfigError(f"--labels {args.labels} is not a file")
     metrics = evaluate_split(state, split, tcfg.backend)
     if labels_path.is_file():
         identity = {str(i): i for i in range(num_nodes)}
@@ -248,22 +261,22 @@ def cmd_eval(args: argparse.Namespace) -> int:
             metrics["macro_f1"] = report.macro_f1
 
     payload = json.dumps(metrics, indent=2, sort_keys=True) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
+    if out_path is not None:
+        with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(payload)
     sys.stdout.write(payload)
     return EXIT_OK
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    cfg = load_config(args.config)
+    cfg = load_config(_path(args.config, "--config", "file"))
     if cfg.split.seed is not None:  # checked before --seed, which sets it
         raise ConfigError(f"{args.config}: split.seed is not used by sweep: trial t "
                           f"splits at train.seed + {_TRIAL_SEED_STRIDE}*t; remove split.seed")
     cfg = _apply_overrides(cfg, args)
     if cfg.sweep is None:
         raise ConfigError("the sweep command needs a sweep: section")
-    out_path = FilePath(args.out)
+    out_path = _path(args.out, "--out", "file", output=True)
     out_path.parent.mkdir(parents=True, exist_ok=True)
 
     param, values, trials = cfg.sweep.param, cfg.sweep.values, cfg.sweep.trials

@@ -35,13 +35,21 @@ class ClassifierReport:
 
 
 def score_pairs(state, pairs: np.ndarray, backend: str) -> np.ndarray:
-    """Symmetric link scores for an (M, 2) array of node pairs."""
+    """Symmetric link scores for an (M, 2) array of integer node ids in 0..N-1, else ValueError."""
     metric = BACKENDS.get(backend)
     if metric is None:
         raise ValueError(f"unknown backend {backend!r}")
-    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    pairs = np.asarray(pairs)
+    if pairs.ndim != 2 or pairs.shape[1] != 2:
+        raise ValueError(f"pairs must be an (M, 2) array, got shape {pairs.shape}")
+    if not np.issubdtype(pairs.dtype, np.integer):
+        raise ValueError(f"pairs must hold integer node ids, got dtype {pairs.dtype}")
     if pairs.size == 0:
         return np.empty(0, dtype=np.float64)
+    num_nodes = state.embeddings.values.shape[0]
+    if pairs.min() < 0 or pairs.max() >= num_nodes:
+        raise ValueError(f"pairs hold node ids outside 0..{num_nodes - 1}: "
+                         f"{pairs.min()} to {pairs.max()}")
     params = {n: Tensor(a) for n, a in state.metric_params.items()}
     loc, _ = metric.relate(Tensor(state.embeddings.values),
                            *metric.link_rows(pairs[:, 0], pairs[:, 1]), params)

@@ -226,8 +226,8 @@ class Gaussian(Backend):
         lv_e = gather_rows(rel[1], rows)
         var_e = lv_e.exp()
         sig_e = (lv_e * 0.5).exp()
-        target = concat([gather_rows(phi, u), gather_rows(phi, v)], axis=1)
-        d = target - decoder_forward_t(mu_e + sig_e * Tensor(noise), params)
+        target = concat([gather_rows(phi, u), gather_rows(phi, v)])
+        d = target - decoder_forward_t(mu_e + sig_e * noise, params)
         recon = (d * d).sum(axis=1) * (-0.5) + (-phi.shape[1] * LOG_2PI)
         kl = (var_e + mu_e * mu_e - 1.0 - lv_e).sum(axis=1) * 0.5
         return (recon - kl).mean()

@@ -45,21 +45,48 @@ def check_unary(op, x, weights=None):
     return max_rel_error(t.grad, num)
 
 
-def test_add_broadcast_grad():
+OPS = {"+": lambda x, y: x + y, "-": lambda x, y: x - y,
+       "*": lambda x, y: x * y, "/": lambda x, y: x / y}
+
+
+@pytest.mark.parametrize("op", OPS)
+def test_binary_op_refuses_a_tensor_of_another_shape(op):
+    # nothing broadcasts: a bias row is added by affine or pair_hidden
+    t = Tensor(np.ones((4, 3)), requires_grad=True)
+    for other in (Tensor(np.ones(3), requires_grad=True), Tensor(np.ones((4, 1))),
+                  Tensor(np.ones((3, 4))), Tensor(np.ones((4, 3, 1)))):
+        with pytest.raises(ValueError) as info:
+            OPS[op](t, other)
+        assert "(4, 3)" in str(info.value) and str(other.shape) in str(info.value)
+
+
+@pytest.mark.parametrize("op", OPS)
+def test_binary_op_refuses_an_array_constant_of_another_shape(op):
+    t = Tensor(np.ones((4, 3)), requires_grad=True)
+    for other in (np.ones(3), np.ones((4, 1)), np.ones((3, 4)), np.array(2.0)):
+        with pytest.raises(ValueError) as info:
+            OPS[op](t, other)
+        assert "(4, 3)" in str(info.value) and str(other.shape) in str(info.value)
+    with pytest.raises(ValueError, match="list"):
+        OPS[op](t, [[1.0, 2.0, 3.0]] * 4)
+
+
+@pytest.mark.parametrize("op", OPS)
+def test_a_constant_operand_is_no_parent(op):
     rng = np.random.default_rng(0)
-    a = rng.normal(size=(4, 3))
-    b = rng.normal(size=(3,))
+    x = rng.uniform(1.0, 2.0, size=(4, 3))
     w = rng.normal(size=(4, 3))
+    for const in (2.5, np.float64(0.5), rng.uniform(1.0, 2.0, size=(4, 3))):
+        t = Tensor(x, requires_grad=True)
+        out = OPS[op](t, const)
+        assert len(out._parents) == 1 and out._parents[0] is t
+        assert out.data.tobytes() == OPS[op](x, const).tobytes()
+        (out * w).sum().backward()
 
-    ta, tb = Tensor(a, requires_grad=True), Tensor(b, requires_grad=True)
-    ((ta + tb) * Tensor(w)).sum().backward()
+        def f(arrays):
+            return float((OPS[op](arrays[0], const) * w).sum())
 
-    def f(arrays):
-        return float(((arrays[0] + arrays[1]) * w).sum())
-
-    assert max_rel_error(ta.grad, numeric_grad(f, [a, b], which=0)) < TOL
-    assert max_rel_error(tb.grad, numeric_grad(f, [a, b], which=1)) < TOL
-    assert tb.grad.shape == b.shape
+        assert max_rel_error(t.grad, numeric_grad(f, [x], which=0)) < TOL
 
 
 def test_mul_div_sub_grads():
@@ -289,7 +316,7 @@ def test_concat_grad_splits_columns():
     w = rng.normal(size=(3, 6))
 
     ta, tb = Tensor(a, requires_grad=True), Tensor(b, requires_grad=True)
-    (concat([ta, tb], axis=1) * Tensor(w)).sum().backward()
+    (concat([ta, tb]) * Tensor(w)).sum().backward()
 
     def f(arrays):
         return float((np.concatenate(arrays, axis=1) * w).sum())
@@ -540,7 +567,7 @@ def test_random_composite_graphs():
         tw1 = Tensor(w1, requires_grad=True)
         tb1 = Tensor(b1, requires_grad=True)
         tw2 = Tensor(w2, requires_grad=True)
-        hid = (tx @ tw1 + tb1).relu()
+        hid = affine(tx, tw1, tb1).relu()
         y = hid @ tw2
         root = (((y * y).sum(axis=1) + 1e-9).log() * 0.5).exp()  # the square root
         out = (root * -1.0).exp().sum()

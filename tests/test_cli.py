@@ -791,8 +791,10 @@ class TestSweep:
 
 
 @pytest.mark.parametrize("case", ["eval --checkpoint <dir>", "eval --split <file>",
-                                  "train --out <file>", "prepare --out <file>",
-                                  "sweep --out <dir>"])
+                                  "eval --out <dir>", "eval --config <dir>",
+                                  "train --out <file>", "train --config <dir>",
+                                  "prepare --out <file>", "prepare <file>",
+                                  "sweep --out <dir>", "sweep --config <dir>"])
 def test_path_argument_of_the_wrong_kind_exits_2(case, tmp_path, request, capsys):
     # a directory where a file belongs, or a file where a directory belongs
     a_file = tmp_path / "a_file"
@@ -802,16 +804,33 @@ def test_path_argument_of_the_wrong_kind_exits_2(case, tmp_path, request, capsys
     raw = TestPrepare().make_raw(tmp_path)
     run = request.getfixturevalue("toy_run") if case.startswith("eval") else None
     capsys.readouterr()
-    argv, path = {
+    argv, message = {
         "eval --checkpoint <dir>": lambda: (["eval", "--checkpoint", str(run), "--split",
-                                             str(run / "split")], run),
+                                             str(run / "split")],
+                                            f"--checkpoint {run} is not a file"),
         "eval --split <file>": lambda: (["eval", "--checkpoint", str(run / "checkpoint.npz"),
-                                         "--split", str(a_file)], a_file),
+                                         "--split", str(a_file)],
+                                        f"--split {a_file} is not a directory"),
+        "eval --out <dir>": lambda: (["eval", "--checkpoint", str(run / "checkpoint.npz"),
+                                      "--split", str(run / "split"), "--out", str(tmp_path)],
+                                     f"--out {tmp_path} is not a file"),
+        "eval --config <dir>": lambda: (["eval", "--checkpoint", str(run / "checkpoint.npz"),
+                                         "--split", str(run / "split"), "--config",
+                                         str(tmp_path)], f"--config {tmp_path} is not a file"),
         "train --out <file>": lambda: (["train", "--config", str(cfg_path), "--out",
-                                        str(a_file)], a_file),
-        "prepare --out <file>": lambda: (["prepare", str(raw), "--out", str(a_file)], a_file),
+                                        str(a_file)], f"--out {a_file} is not a directory"),
+        "train --config <dir>": lambda: (["train", "--config", str(tmp_path), "--out",
+                                          str(tmp_path / "run")],
+                                         f"--config {tmp_path} is not a file"),
+        "prepare --out <file>": lambda: (["prepare", str(raw), "--out", str(a_file)],
+                                         f"--out {a_file} is not a directory"),
+        "prepare <file>": lambda: (["prepare", str(a_file), "--out", str(tmp_path / "out")],
+                                   f"raw_dir {a_file} is not a directory"),
         "sweep --out <dir>": lambda: (["sweep", "--config", str(cfg_path), "--out",
-                                       str(tmp_path)], tmp_path),
+                                       str(tmp_path)], f"--out {tmp_path} is not a file"),
+        "sweep --config <dir>": lambda: (["sweep", "--config", str(tmp_path), "--out",
+                                          str(tmp_path / "grid.csv")],
+                                         f"--config {tmp_path} is not a file"),
     }[case]()
     assert main(argv) == EXIT_CONFIG
-    assert str(path) in capsys.readouterr().err
+    assert message in capsys.readouterr().err

@@ -190,6 +190,24 @@ def test_score_pair_symmetry(backend):
         assert a == pytest.approx(b, abs=1e-12)
 
 
+@pytest.mark.parametrize("backend", ["2n", "mlp", "vi"])
+def test_score_pairs_refuses_anything_but_an_m_by_2_array_of_node_ids(backend):
+    # a negative id would index from the end, and a (2, 3) array reshape into pairs
+    state = random_state(backend, n=16, k=4, seed=6)
+    for pairs, message in [
+        (np.array([[0, -1]]), "outside 0..15"),
+        (np.array([[0, 16]]), "outside 0..15"),
+        (np.arange(6).reshape(2, 3), "(M, 2) array, got shape (2, 3)"),
+        (np.array([0, 1]), "(M, 2) array, got shape (2,)"),
+        (np.array([[0.0, 1.0]]), "integer node ids"),
+    ]:
+        with pytest.raises(ValueError) as info:
+            score_pairs(state, pairs, backend)
+        assert message in str(info.value)
+    assert score_pairs(state, np.empty((0, 2), dtype=np.int64), backend).shape == (0,)
+    assert score_pairs(state, np.array([[0, 15]], dtype=np.uint8), backend).shape == (1,)
+
+
 def test_score_identical_embeddings_is_maximal():
     phi = np.ones((3, 4))
     phi[2] += 2.0

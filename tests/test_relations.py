@@ -302,6 +302,25 @@ class TestElbo:
         noise = rng.standard_normal((3, k))
         assert elbo(a, b, params, 3, noise=noise) == elbo(a, b, params, 3, noise=noise)
 
+    def test_backend_elbo_is_the_oracle_mean_over_the_same_pairs_and_noise(self):
+        # the training ELBO reads pair relations by row, as a step batch's e_rel does
+        rng = np.random.default_rng(35)
+        k = 3
+        params = init_metric_params("vi", k, rng, hidden=5)
+        params = {n: a + 0.2 * rng.normal(size=a.shape) for n, a in params.items()}
+        phi = rng.normal(size=(7, k))
+        uu, vv = np.array([0, 1, 2, 3, 5]), np.array([1, 2, 4, 6, 0])
+        rows = np.array([0, 2, 2, 4, 1, 3])
+        u, v = uu[rows], vv[rows]
+        noise = rng.standard_normal((len(rows), k))
+
+        metric = BACKENDS["vi"]
+        phi_t, params_t = Tensor(phi), {n: Tensor(a) for n, a in params.items()}
+        rel = metric.relate(phi_t, uu, vv, params_t, variance=True)
+        got = metric.elbo(phi_t, params_t, rel, rows, u, v, noise).item()
+        want = np.mean([elbo(phi[a], phi[b], params, 1, noise=z) for a, b, z in zip(u, v, noise)])
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+
 
 class TestInitAndValidation:
     def test_fan_in_bounds_and_zero_biases(self):
