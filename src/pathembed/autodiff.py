@@ -122,9 +122,11 @@ class Tensor:
         elif isinstance(other, (Tensor, np.ndarray)) and other.shape == a.shape:
             b = other.data if isinstance(other, Tensor) else other
         else:
+            got = type(other).__name__
+            if isinstance(other, (Tensor, np.ndarray)):
+                got += f" of shape {other.shape}"
             raise ValueError(f"an operand of a tensor of shape {a.shape} is a Tensor or array "
-                             f"of that shape or a float, not {type(other).__name__} of shape "
-                             f"{getattr(other, 'shape', np.shape(other))}")
+                             f"of that shape or a float, not {got}")
         if isinstance(other, Tensor):
             return Tensor(op(a, b), _parents=(self, other),
                           _vjp=lambda g: (grad_self(g, a, b), grad_other(g, a, b)))

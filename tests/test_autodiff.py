@@ -67,8 +67,10 @@ def test_binary_op_refuses_an_array_constant_of_another_shape(op):
         with pytest.raises(ValueError) as info:
             OPS[op](t, other)
         assert "(4, 3)" in str(info.value) and str(other.shape) in str(info.value)
-    with pytest.raises(ValueError, match="list"):
-        OPS[op](t, [[1.0, 2.0, 3.0]] * 4)
+    for other, name in (([[1.0, 2.0, 3.0]] * 4, "list"), ([[1.0], [1.0, 2.0]], "list"),
+                        (2, "int")):
+        with pytest.raises(ValueError, match=f"of shape \\(4, 3\\) .* not {name}$"):
+            OPS[op](t, other)
 
 
 @pytest.mark.parametrize("op", OPS)
